@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"synapse/internal/dist"
+	"synapse/internal/httpsvc"
 	"synapse/internal/telemetry"
 )
 
@@ -75,23 +76,23 @@ func run(args []string, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	if *maxInflight < 0 || *queue < 0 {
-		return fmt.Errorf("-max-inflight and -queue must be >= 0")
-	}
-	if *queue > 0 && *maxInflight == 0 {
-		return fmt.Errorf("-queue requires -max-inflight > 0")
-	}
-
-	srv := dist.NewServer(dist.ServerConfig{
-		Workers:        *workers,
-		MaxSessions:    *maxSessions,
+	svc := httpsvc.Config{
 		MaxInFlight:    *maxInflight,
 		Queue:          *queue,
 		RequestTimeout: *requestTimeout,
-		StreamBatch:    *streamBatch,
 		Pprof:          *pprof,
 		Metrics:        telemetry.NewRegistry(),
 		Logger:         logger,
+	}
+	if err := svc.Validate(); err != nil {
+		return err
+	}
+
+	srv := dist.NewServer(dist.ServerConfig{
+		Config:      svc,
+		Workers:     *workers,
+		MaxSessions: *maxSessions,
+		StreamBatch: *streamBatch,
 	})
 	bound, err := srv.Start(*addr)
 	if err != nil {

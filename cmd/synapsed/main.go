@@ -32,6 +32,7 @@ import (
 	"syscall"
 	"time"
 
+	"synapse/internal/httpsvc"
 	"synapse/internal/store"
 	"synapse/internal/storesrv"
 	"synapse/internal/telemetry"
@@ -76,11 +77,16 @@ func run(args []string, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	if *maxInflight < 0 || *queue < 0 {
-		return fmt.Errorf("-max-inflight and -queue must be >= 0")
+	svc := httpsvc.Config{
+		MaxInFlight:    *maxInflight,
+		Queue:          *queue,
+		RequestTimeout: *requestTimeout,
+		Pprof:          *pprof,
+		Metrics:        telemetry.NewRegistry(),
+		Logger:         logger,
 	}
-	if *queue > 0 && *maxInflight == 0 {
-		return fmt.Errorf("-queue requires -max-inflight > 0")
+	if err := svc.Validate(); err != nil {
+		return err
 	}
 
 	var backend store.Store
@@ -99,15 +105,7 @@ func run(args []string, ready chan<- string) error {
 		return fmt.Errorf("unknown backend %q (want mem, file, or sharded)", *backendName)
 	}
 
-	srv := storesrv.New(backend, storesrv.Config{
-		Pprof:          *pprof,
-		MaxInFlight:    *maxInflight,
-		Queue:          *queue,
-		RequestTimeout: *requestTimeout,
-		ReadOnly:       *readOnly,
-		Metrics:        telemetry.NewRegistry(),
-		Logger:         logger,
-	})
+	srv := storesrv.New(backend, storesrv.Config{Config: svc, ReadOnly: *readOnly})
 	bound, err := srv.Start(*addr)
 	if err != nil {
 		return err

@@ -87,6 +87,7 @@ func TestUnknownBackend(t *testing.T) {
 func TestOverloadFlagsValidated(t *testing.T) {
 	for _, args := range [][]string{
 		{"-queue", "8"}, // queue without a bound to queue against
+		{"-queue", "4"},
 		{"-max-inflight", "-1"},
 		{"-max-inflight", "4", "-queue", "-2"},
 	} {

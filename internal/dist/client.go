@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
+	"synapse/internal/httpsvc"
 	"synapse/internal/retry"
 	"synapse/internal/scenario"
 )
@@ -152,20 +152,9 @@ func (w *HTTPWorker) post(ctx context.Context, path string, in, out any) error {
 // attaching any Retry-After hint for the coordinator's backoff.
 func (w *HTTPWorker) decodeError(path string, resp *http.Response) error {
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	var er ErrorResponse
-	_ = json.Unmarshal(data, &er)
-	msg := er.Error
-	if msg == "" {
-		msg = strings.TrimSpace(string(data))
-	}
-	base := fmt.Errorf("dist: %s %s: HTTP %d: %s", w.base, path, resp.StatusCode, msg)
-	err := w.sentinel(er.Code, base)
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		if secs, perr := strconv.Atoi(ra); perr == nil && secs > 0 {
-			err = retry.After(err, time.Duration(secs)*time.Second)
-		}
-	}
-	return err
+	er, wait := httpsvc.ReadError(resp.Header, data)
+	base := fmt.Errorf("dist: %s %s: HTTP %d: %s", w.base, path, resp.StatusCode, er.Error)
+	return retry.After(w.sentinel(er.Code, base), wait)
 }
 
 // sentinel rebuilds the package sentinel for a structured error code, from
@@ -176,7 +165,7 @@ func (w *HTTPWorker) sentinel(code string, base error) error {
 		return fmt.Errorf("%w: %v", ErrNoSession, base)
 	case CodeShardKey:
 		return fmt.Errorf("%w: %v", ErrShardKey, base)
-	case CodeInvalid:
+	case httpsvc.CodeInvalid:
 		return fmt.Errorf("%w: %v", ErrInvalid, base)
 	}
 	return base

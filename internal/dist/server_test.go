@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"synapse/internal/httpsvc"
 	"synapse/internal/scenario"
 	"synapse/internal/store"
 	"synapse/internal/testutil"
@@ -141,7 +142,7 @@ func TestHTTPNoSessionRecovery(t *testing.T) {
 	}
 }
 
-func postJSON(t *testing.T, url string, body string) (*http.Response, ErrorResponse) {
+func postJSON(t *testing.T, url string, body string) (*http.Response, httpsvc.ErrorResponse) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
@@ -149,7 +150,7 @@ func postJSON(t *testing.T, url string, body string) (*http.Response, ErrorRespo
 	}
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(resp.Body)
-	var er ErrorResponse
+	var er httpsvc.ErrorResponse
 	_ = json.Unmarshal(data, &er)
 	return resp, er
 }
@@ -165,8 +166,8 @@ func TestHTTPStructuredErrors(t *testing.T) {
 		status     int
 		code       string
 	}{
-		{"/v1/compile", "{not json", http.StatusBadRequest, CodeInvalid},
-		{"/v1/compile", `{"session":"s"}`, http.StatusBadRequest, CodeInvalid},
+		{"/v1/compile", "{not json", http.StatusBadRequest, httpsvc.CodeInvalid},
+		{"/v1/compile", `{"session":"s"}`, http.StatusBadRequest, httpsvc.CodeInvalid},
 		{"/v1/execute", `{"session":"ghost","shard":0}`, http.StatusNotFound, CodeNoSession},
 	}
 	for _, tc := range cases {
@@ -184,7 +185,7 @@ func TestHTTPHealthzAndMetrics(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	st := seedStore(t, "mdsim", "sleep")
 	spec := jitteredSpec()
-	_, base := startServer(t, ServerConfig{Workers: 1, MaxInFlight: 8})
+	_, base := startServer(t, ServerConfig{Config: httpsvc.Config{MaxInFlight: 8}, Workers: 1})
 	fleet := []Worker{NewHTTPWorker(base, nil)}
 	if _, err := scenario.Run(context.Background(), spec, st, scenario.RunOptions{
 		Executor: mustCoordinator(t, spec, st, Config{Workers: fleet}),
@@ -239,7 +240,9 @@ func mustCoordinator(t *testing.T, spec *scenario.Spec, st store.Store, cfg Conf
 func TestHTTPDrainSheds(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	s := NewServer(ServerConfig{})
-	s.draining.Store(true)
+	if err := s.Shutdown(t.Context()); err != nil { // never started: only flips to draining
+		t.Fatal(err)
+	}
 
 	rec := httptest.NewRecorder()
 	req, _ := http.NewRequest(http.MethodPost, "/v1/execute", strings.NewReader("{}"))
@@ -250,10 +253,10 @@ func TestHTTPDrainSheds(t *testing.T) {
 	if ra := rec.Header().Get("Retry-After"); ra == "" {
 		t.Error("draining shed carries no Retry-After")
 	}
-	var er ErrorResponse
+	var er httpsvc.ErrorResponse
 	_ = json.Unmarshal(rec.Body.Bytes(), &er)
-	if er.Code != CodeDraining {
-		t.Errorf("shed code = %q, want %q", er.Code, CodeDraining)
+	if er.Code != httpsvc.CodeDraining {
+		t.Errorf("shed code = %q, want %q", er.Code, httpsvc.CodeDraining)
 	}
 
 	rec = httptest.NewRecorder()
@@ -273,9 +276,19 @@ func TestHTTPDrainSheds(t *testing.T) {
 // a data-path request sheds with 429/overloaded.
 func TestHTTPOverloadSheds(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	s := NewServer(ServerConfig{MaxInFlight: 1})
-	s.sem <- struct{}{} // occupy the sole slot
-	defer func() { <-s.sem }()
+	s := NewServer(ServerConfig{Config: httpsvc.Config{MaxInFlight: 1}})
+	// Occupy the sole slot with a request parked in a probe route.
+	release, held := make(chan struct{}), make(chan struct{})
+	s.Handle("POST /v1/hold", httpsvc.Queue, func(http.ResponseWriter, *http.Request) { <-release })
+	go func() {
+		defer close(held)
+		req, _ := http.NewRequest(http.MethodPost, "/v1/hold", nil)
+		s.ServeHTTP(httptest.NewRecorder(), req)
+	}()
+	defer func() { close(release); <-held }()
+	for inflight, _ := s.Counters(); inflight != 1; inflight, _ = s.Counters() {
+		time.Sleep(time.Millisecond)
+	}
 
 	rec := httptest.NewRecorder()
 	req, _ := http.NewRequest(http.MethodPost, "/v1/execute", strings.NewReader("{}"))
@@ -283,10 +296,10 @@ func TestHTTPOverloadSheds(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("overloaded execute: status %d, want 429", rec.Code)
 	}
-	var er ErrorResponse
+	var er httpsvc.ErrorResponse
 	_ = json.Unmarshal(rec.Body.Bytes(), &er)
-	if er.Code != CodeOverloaded {
-		t.Errorf("shed code = %q, want %q", er.Code, CodeOverloaded)
+	if er.Code != httpsvc.CodeOverloaded {
+		t.Errorf("shed code = %q, want %q", er.Code, httpsvc.CodeOverloaded)
 	}
 	// Bypass routes must still answer at capacity.
 	rec = httptest.NewRecorder()
@@ -294,5 +307,32 @@ func TestHTTPOverloadSheds(t *testing.T) {
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("healthz at capacity: status %d", rec.Code)
+	}
+}
+
+// filler is an endless body of spaces, so a test can declare a huge body
+// without holding it in memory.
+type filler struct{}
+
+func (filler) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestHTTPBodyLimit: a compile body past maxCompileBody is refused with
+// 413/too_large instead of being buffered.
+func TestHTTPBodyLimit(t *testing.T) {
+	s := NewServer(ServerConfig{})
+	req := httptest.NewRequest(http.MethodPost, "/v1/compile",
+		io.MultiReader(strings.NewReader(`{"session":"`), io.LimitReader(filler{}, maxCompileBody)))
+	req.ContentLength = maxCompileBody + int64(len(`{"session":"`))
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	var er httpsvc.ErrorResponse
+	_ = json.Unmarshal(rec.Body.Bytes(), &er)
+	if rec.Code != http.StatusRequestEntityTooLarge || er.Code != httpsvc.CodeTooLarge {
+		t.Errorf("oversize compile: %d %q, want 413/%s", rec.Code, er.Code, httpsvc.CodeTooLarge)
 	}
 }

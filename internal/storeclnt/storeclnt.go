@@ -33,11 +33,11 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"synapse/internal/httpsvc"
 	"synapse/internal/profile"
 	"synapse/internal/retry"
 	"synapse/internal/store"
@@ -250,22 +250,22 @@ func (r *Remote) Stats() Stats {
 }
 
 // remoteError reconstructs sentinel errors from a structured error response
-// so errors.Is(err, store.ErrNotFound/ErrDocTooLarge) holds across the wire.
-func remoteError(status int, body []byte) error {
-	var er storesrv.ErrorResponse
-	if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
-		return fmt.Errorf("storeclnt: server returned HTTP %d: %s", status, bytes.TrimSpace(body))
-	}
+// so errors.Is(err, store.ErrNotFound/ErrDocTooLarge) holds across the wire,
+// carrying any Retry-After hint for the retry loop's backoff.
+func remoteError(rs *response) error {
+	er, wait := httpsvc.ReadError(rs.header, rs.body)
+	var err error
 	switch er.Code {
 	case storesrv.CodeNotFound:
-		return fmt.Errorf("%w: %s", store.ErrNotFound, er.Error)
+		err = fmt.Errorf("%w: %s", store.ErrNotFound, er.Error)
 	case storesrv.CodeDocTooLarge:
-		return fmt.Errorf("%w: %s", store.ErrDocTooLarge, er.Error)
+		err = fmt.Errorf("%w: %s", store.ErrDocTooLarge, er.Error)
 	default:
 		// The server's message carries its own prefix, and do() wraps with
-		// the endpoint; adding another package prefix here just stutters.
-		return errors.New(er.Error)
+		// the endpoint; only the status is missing.
+		err = fmt.Errorf("HTTP %d: %s", rs.status, er.Error)
 	}
+	return retry.After(err, wait)
 }
 
 // terminalError marks an error that must not be retried.
@@ -439,23 +439,6 @@ func (r *Remote) attempt(ctx context.Context, c *call) (*response, error) {
 	}
 }
 
-// retryAfter parses a Retry-After header (delta-seconds or HTTP-date).
-func retryAfter(h http.Header) time.Duration {
-	v := h.Get("Retry-After")
-	if v == "" {
-		return 0
-	}
-	if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
-		return time.Duration(secs) * time.Second
-	}
-	if at, err := http.ParseTime(v); err == nil {
-		if d := time.Until(at); d > 0 {
-			return d
-		}
-	}
-	return 0
-}
-
 // do issues c under the full resilience stack: overall deadline, circuit
 // breaker, retry policy with jittered backoff, Retry-After honoring, and
 // (for hedgeable calls) hedging. On success the returned response has a
@@ -497,10 +480,10 @@ func (r *Remote) do(ctx context.Context, c *call) (*response, error) {
 			// retry any method, after the server's own hint.
 			br.onSuccess() // alive, just overloaded
 			r.met.shed429.Inc()
-			return retry.After(remoteError(rs.status, rs.body), retryAfter(rs.header))
+			return remoteError(rs)
 		case rs.status >= 500:
 			br.onFailure()
-			err := retry.After(remoteError(rs.status, rs.body), retryAfter(rs.header))
+			err := remoteError(rs)
 			if !c.idempotent {
 				return terminal(err)
 			}
@@ -578,7 +561,7 @@ func (r *Remote) put(ctx context.Context, p *profile.Profile, truncate bool) (in
 		return 0, err
 	}
 	if resp.status != http.StatusOK {
-		return 0, remoteError(resp.status, resp.body)
+		return 0, remoteError(resp)
 	}
 	var pr storesrv.PutResponse
 	if err := json.Unmarshal(resp.body, &pr); err != nil {
@@ -605,7 +588,7 @@ func (r *Remote) PutBatch(ps []*profile.Profile, truncate bool) ([]error, error)
 		return nil, err
 	}
 	if resp.status != http.StatusOK {
-		return nil, remoteError(resp.status, resp.body)
+		return nil, remoteError(resp)
 	}
 	var br storesrv.BatchResponse
 	if err := json.Unmarshal(resp.body, &br); err != nil {
@@ -702,7 +685,7 @@ func (r *Remote) fetch(ctx context.Context, key string) (profile.Set, Freshness,
 		return cached, Freshness{ETag: etag}, nil
 	}
 	if resp.status != http.StatusOK {
-		return nil, Freshness{}, remoteError(resp.status, resp.body)
+		return nil, Freshness{}, remoteError(resp)
 	}
 	var set profile.Set
 	if err := json.Unmarshal(resp.body, &set); err != nil {
@@ -781,7 +764,7 @@ func (r *Remote) KeysCtx(ctx context.Context) ([]string, error) {
 		return nil, err
 	}
 	if resp.status != http.StatusOK {
-		return nil, remoteError(resp.status, resp.body)
+		return nil, remoteError(resp)
 	}
 	var kr storesrv.KeysResponse
 	if err := json.Unmarshal(resp.body, &kr); err != nil {
@@ -803,7 +786,7 @@ func (r *Remote) DeleteCtx(ctx context.Context, command string, tags map[string]
 		return err
 	}
 	if resp.status != http.StatusNoContent {
-		return remoteError(resp.status, resp.body)
+		return remoteError(resp)
 	}
 	r.invalidate(key)
 	return nil

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"synapse/internal/httpsvc"
 	"synapse/internal/profile"
 	"synapse/internal/store"
 	"synapse/internal/store/storetest"
@@ -61,10 +62,10 @@ func putBody(t *testing.T, command string) *strings.Reader {
 	return strings.NewReader(string(data))
 }
 
-func decodeErr(t *testing.T, resp *http.Response) ErrorResponse {
+func decodeErr(t *testing.T, resp *http.Response) httpsvc.ErrorResponse {
 	t.Helper()
 	defer resp.Body.Close()
-	var er ErrorResponse
+	var er httpsvc.ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
 		t.Fatalf("decode error body: %v", err)
 	}
@@ -79,7 +80,7 @@ func TestBoundedInFlightSheds(t *testing.T) {
 	if err := gs.Store.Put(mkTestProfile(t, "held")); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(gs, Config{MaxInFlight: 2})
+	srv := New(gs, Config{Config: httpsvc.Config{MaxInFlight: 2}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -146,7 +147,7 @@ func TestQueueAdmitsReadsAfterRelease(t *testing.T) {
 	if err := gs.Store.Put(mkTestProfile(t, "held")); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(gs, Config{MaxInFlight: 1, Queue: 4, RequestTimeout: 5 * time.Second})
+	srv := New(gs, Config{Config: httpsvc.Config{MaxInFlight: 1, Queue: 4, RequestTimeout: 5 * time.Second}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -183,7 +184,7 @@ func TestWritesShedFirst(t *testing.T) {
 	if err := gs.Store.Put(mkTestProfile(t, "held")); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(gs, Config{MaxInFlight: 1, Queue: 8})
+	srv := New(gs, Config{Config: httpsvc.Config{MaxInFlight: 1, Queue: 8}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -212,8 +213,8 @@ func TestWritesShedFirst(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("shed write missing Retry-After")
 	}
-	if er := decodeErr(t, resp); er.Code != CodeOverloaded {
-		t.Fatalf("code = %q, want %q", er.Code, CodeOverloaded)
+	if er := decodeErr(t, resp); er.Code != httpsvc.CodeOverloaded {
+		t.Fatalf("code = %q, want %q", er.Code, httpsvc.CodeOverloaded)
 	}
 	gs.release()
 	<-done
@@ -226,7 +227,7 @@ func TestQueueWaitBounded(t *testing.T) {
 	if err := gs.Store.Put(mkTestProfile(t, "held")); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(gs, Config{MaxInFlight: 1, Queue: 4, RequestTimeout: 50 * time.Millisecond})
+	srv := New(gs, Config{Config: httpsvc.Config{MaxInFlight: 1, Queue: 4, RequestTimeout: 50 * time.Millisecond}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer gs.release() // unstick the holder before ts.Close waits on it
@@ -328,8 +329,8 @@ func TestDrainingShedsNewRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("request during drain got %d, want 503", resp.StatusCode)
 	}
-	if er := decodeErr(t, resp); er.Code != CodeDraining {
-		t.Fatalf("code = %q, want %q", er.Code, CodeDraining)
+	if er := decodeErr(t, resp); er.Code != httpsvc.CodeDraining {
+		t.Fatalf("code = %q, want %q", er.Code, httpsvc.CodeDraining)
 	}
 }
 
@@ -358,7 +359,7 @@ func TestHealthzBypassesAdmissionAndReportsCounters(t *testing.T) {
 	if err := gs.Store.Put(mkTestProfile(t, "held")); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(gs, Config{MaxInFlight: 1})
+	srv := New(gs, Config{Config: httpsvc.Config{MaxInFlight: 1}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -406,18 +407,15 @@ func TestHealthzBypassesAdmissionAndReportsCounters(t *testing.T) {
 // TestRequestTimeoutOnContext: admitted requests carry the configured
 // server-side deadline on their context.
 func TestRequestTimeoutOnContext(t *testing.T) {
-	srv := New(store.NewSharded(2), Config{RequestTimeout: 123 * time.Millisecond})
-	inner := srv.mux
+	srv := New(store.NewSharded(2), Config{Config: httpsvc.Config{RequestTimeout: 123 * time.Millisecond}})
 	var sawDeadline atomic.Bool
-	srv.mux = http.NewServeMux()
-	srv.mux.Handle("/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv.Handle("GET /v1/probe", httpsvc.Queue, func(w http.ResponseWriter, r *http.Request) {
 		_, ok := r.Context().Deadline()
 		sawDeadline.Store(ok)
-		inner.ServeHTTP(w, r)
-	}))
+	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/v1/keys")
+	resp, err := http.Get(ts.URL + "/v1/probe")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,40 +23,35 @@
 package storesrv
 
 import (
-	"compress/gzip"
-	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"log/slog"
-	"net"
 	"net/http"
-	"net/http/pprof"
-	"strings"
 	"sync"
-	"time"
+	"sync/atomic"
 
+	"synapse/internal/httpsvc"
 	"synapse/internal/profile"
 	"synapse/internal/store"
-	"synapse/internal/telemetry"
 )
 
-// Error codes carried in structured error responses.
+// Error codes carried in structured error responses, alongside the shared
+// httpsvc codes (invalid, internal, overloaded, draining, too_large).
+// read_only rides on 503 and is terminal for writes.
 const (
 	CodeNotFound    = "not_found"
 	CodeDocTooLarge = "doc_too_large"
-	CodeInvalid     = "invalid"
-	CodeInternal    = "internal"
+	CodeReadOnly    = "read_only"
 )
 
-// ErrorResponse is the wire form of a failed request.
-type ErrorResponse struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
+// Request body limits, applied after gunzip. A profile put with
+// ?truncate=1 may exceed store.MaxDocSize, so the put limit leaves room
+// above the document limit; a batch carries several profiles.
+const (
+	maxPutBody   = 2 * store.MaxDocSize
+	maxBatchBody = 4 * store.MaxDocSize
+)
 
 // PutResponse answers a successful single put.
 type PutResponse struct {
@@ -89,39 +84,30 @@ type KeysResponse struct {
 	Keys []string `json:"keys"`
 }
 
-// Config tunes the service.
+// HealthResponse is the /v1/healthz body: liveness plus the shared
+// admission counters and build block.
+type HealthResponse struct {
+	Status string `json:"status"` // "ok", "read_only", or "draining"
+	httpsvc.Health
+}
+
+// Config tunes the service: the shared admission, telemetry and pprof
+// settings plus the read-only degraded mode.
 type Config struct {
-	// Pprof mounts net/http/pprof under /debug/pprof/.
-	Pprof bool
-	// MaxInFlight bounds concurrently-executing requests (0 = unbounded).
-	// Excess reads wait in the admission queue; excess writes are shed
-	// immediately with 429 and a Retry-After hint (writes shed first).
-	MaxInFlight int
-	// Queue is the admission-queue depth for reads arriving while
-	// MaxInFlight requests are executing (0 = shed instead of queueing).
-	Queue int
-	// RequestTimeout is the server-side deadline applied to each admitted
-	// request's context, and the bound on admission-queue waits (0 = none).
-	RequestTimeout time.Duration
+	httpsvc.Config
 	// ReadOnly starts the server in read-only degraded mode: writes are
 	// shed with 503/read_only, reads proceed. Toggle later via SetReadOnly.
 	ReadOnly bool
-	// Metrics is the registry the server's instruments register into; it is
-	// rendered at GET /v1/metrics in Prometheus text exposition. nil gets a
-	// private registry, so metrics always work; pass a shared registry to
-	// merge server and client series into one scrape.
-	Metrics *telemetry.Registry
-	// Logger receives one structured line per request (level DEBUG for
-	// successes, WARN for 5xx/shed) plus lifecycle events. nil discards.
-	Logger *slog.Logger
 }
 
 // Server serves a store.Store over HTTP. Construct with New; it implements
 // http.Handler, so it can be mounted in tests (httptest.NewServer) or run
-// standalone via Start/Shutdown.
+// standalone via Start/Shutdown, which closes the backend after the drain.
+// Reads may wait in the admission queue at capacity; writes shed first.
 type Server struct {
-	backend store.Store
-	mux     *http.ServeMux
+	*httpsvc.Server
+	backend  store.Store
+	readOnly atomic.Bool
 
 	// gen counts mutations per key. GET responses carry the generation as
 	// an ETag; remote clients revalidate their caches against it with
@@ -133,139 +119,59 @@ type Server struct {
 	genMu sync.Mutex
 	gen   map[string]uint64
 	epoch string
-
-	// adm is the overload-protection state: in-flight bounding, admission
-	// queue, shedding, and the read-only/draining degraded modes.
-	adm *admission
-
-	met   *metrics
-	log   *slog.Logger
-	build telemetry.Build
-
-	httpSrv *http.Server
 }
 
 // New wraps backend in an HTTP service.
 func New(backend store.Store, cfg Config) *Server {
 	nonce := make([]byte, 6)
 	_, _ = rand.Read(nonce)
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	log := cfg.Logger
-	if log == nil {
-		log = telemetry.NopLogger()
-	}
 	s := &Server{
 		backend: backend,
-		mux:     http.NewServeMux(),
 		gen:     map[string]uint64{},
 		epoch:   hex.EncodeToString(nonce),
-		adm:     newAdmission(cfg),
-		log:     log,
-		build:   telemetry.BuildInfo(),
 	}
-	s.met = newMetrics(reg, s.adm)
-	s.mux.HandleFunc("PUT /v1/profiles", s.handlePut)
-	s.mux.HandleFunc("GET /v1/profiles", s.handleFind)
-	s.mux.HandleFunc("DELETE /v1/profiles", s.handleDelete)
-	s.mux.HandleFunc("POST /v1/profiles:batch", s.handleBatch)
-	s.mux.HandleFunc("GET /v1/keys", s.handleKeys)
-	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	s.mux.Handle("GET /v1/metrics", reg.Handler())
-	if cfg.Pprof {
-		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
+	s.readOnly.Store(cfg.ReadOnly)
+	s.Server = httpsvc.New("storesrv", cfg.Config, s.handleHealthz)
+	s.CloseOnShutdown(backend)
+	s.Metrics().GaugeFunc("synapse_admission_read_only",
+		"1 while the server is in read-only degraded mode.",
+		func() float64 { return httpsvc.BoolGauge(s.readOnly.Load()) })
+	s.Handle("PUT /v1/profiles", httpsvc.Shed, s.writable(s.handlePut))
+	s.Handle("GET /v1/profiles", httpsvc.Queue, s.handleFind)
+	s.Handle("DELETE /v1/profiles", httpsvc.Shed, s.writable(s.handleDelete))
+	s.Handle("POST /v1/profiles:batch", httpsvc.Shed, s.writable(s.handleBatch))
+	s.Handle("GET /v1/keys", httpsvc.Queue, s.handleKeys)
 	return s
 }
 
-// ServeHTTP implements http.Handler. Every data-path request passes
-// admission control (health checks, metrics and pprof bypass it) and runs
-// under the configured server-side deadline. All requests — including
-// bypassed and shed ones — flow through the RED middleware: the request
-// counter, the latency histogram, and one structured log line.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	rec := &statusRecorder{ResponseWriter: w}
-	s.serve(rec, r)
-	elapsed := time.Since(start)
-	route := routeOf(r.URL.Path)
-	status := rec.status
-	if status == 0 {
-		status = http.StatusOK // handler never wrote; net/http sends 200
+// writable guards a write route: in read-only mode it is shed with
+// 503/read_only while reads proceed normally.
+func (s *Server) writable(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.readOnly.Load() {
+			s.Shed(w, r, http.StatusServiceUnavailable, CodeReadOnly, "server is read-only")
+			return
+		}
+		h(w, r)
 	}
-	s.met.observe(route, r.Method, status, elapsed.Seconds())
-	level := slog.LevelDebug
-	if status >= 500 || status == http.StatusTooManyRequests {
-		level = slog.LevelWarn
-	}
-	attrs := []any{
-		slog.String("route", route),
-		slog.String("method", r.Method),
-		slog.Int("code", status),
-		slog.Duration("duration", elapsed),
-	}
-	if key := r.URL.Query().Get("key"); key != "" {
-		attrs = append(attrs, slog.String("key", key))
-	}
-	s.log.Log(r.Context(), level, "request", attrs...)
 }
 
-// serve is the pre-telemetry handler chain: bypass, admission, deadline.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
-	if bypass(r) {
-		s.mux.ServeHTTP(w, r)
-		return
-	}
-	release := s.admit(w, r)
-	if release == nil {
-		return // shed; response already written
-	}
-	defer release()
-	s.adm.inflight.Add(1)
-	defer s.adm.inflight.Add(-1)
-	if s.adm.timeout > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), s.adm.timeout)
-		defer cancel()
-		r = r.WithContext(ctx)
-	}
-	s.mux.ServeHTTP(w, r)
-}
+// SetReadOnly toggles read-only degraded mode at runtime: writes are shed
+// with 503/read_only while reads proceed normally.
+func (s *Server) SetReadOnly(on bool) { s.readOnly.Store(on) }
 
-// Metrics returns the registry the server's instruments live in — the same
-// one /v1/metrics renders.
-func (s *Server) Metrics() *telemetry.Registry { return s.met.reg }
+// ReadOnly reports whether the server is in read-only degraded mode.
+func (s *Server) ReadOnly() bool { return s.readOnly.Load() }
 
-// Start listens on addr (e.g. ":8181" or "127.0.0.1:0") and serves in the
-// background, returning the bound address. Stop with Shutdown.
-func (s *Server) Start(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("storesrv: listen %s: %w", addr, err)
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	status := "ok"
+	switch {
+	case s.Draining():
+		status = "draining"
+	case s.ReadOnly():
+		status = "read_only"
 	}
-	s.httpSrv = &http.Server{Handler: s, ReadHeaderTimeout: 10 * time.Second}
-	go func() { _ = s.httpSrv.Serve(ln) }()
-	return ln.Addr(), nil
-}
-
-// Shutdown gracefully stops a Start'ed server: new data-path requests are
-// shed (503/draining) while it stops accepting connections and waits (up to
-// ctx) for in-flight requests, then the backend closes.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.adm.draining.Store(true)
-	var err error
-	if s.httpSrv != nil {
-		err = s.httpSrv.Shutdown(ctx)
-	}
-	if cerr := s.backend.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	httpsvc.WriteJSON(w, r, http.StatusOK, HealthResponse{Status: status, Health: s.Health()})
 }
 
 // generation returns the current mutation count for key.
@@ -285,114 +191,68 @@ func (s *Server) bump(key string) uint64 {
 
 func (s *Server) etagFor(gen uint64) string { return fmt.Sprintf(`"%s-g%d"`, s.epoch, gen) }
 
-// requestBody returns the request body, transparently gunzipping when the
-// client sent Content-Encoding: gzip.
-func requestBody(r *http.Request) (io.ReadCloser, error) {
-	if strings.EqualFold(r.Header.Get("Content-Encoding"), "gzip") {
-		zr, err := gzip.NewReader(r.Body)
-		if err != nil {
-			return nil, fmt.Errorf("bad gzip body: %w", err)
-		}
-		return zr, nil
-	}
-	return r.Body, nil
-}
-
-// writeJSON sends v as JSON, gzip-compressed when the client accepts it.
-func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	var out io.Writer = w
-	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
-		w.Header().Set("Content-Encoding", "gzip")
-		w.WriteHeader(status)
-		zw := gzip.NewWriter(w)
-		defer zw.Close()
-		out = zw
-	} else {
-		w.WriteHeader(status)
-	}
-	_ = json.NewEncoder(out).Encode(v)
-}
-
 // writeError maps backend errors onto structured responses. The code, not
 // the message, is the contract: clients rebuild sentinel errors from it.
 func writeError(w http.ResponseWriter, r *http.Request, err error) {
-	status, code := http.StatusInternalServerError, CodeInternal
+	status, code := http.StatusInternalServerError, httpsvc.CodeInternal
 	switch {
 	case errors.Is(err, store.ErrNotFound):
 		status, code = http.StatusNotFound, CodeNotFound
 	case errors.Is(err, store.ErrDocTooLarge):
 		status, code = http.StatusRequestEntityTooLarge, CodeDocTooLarge
 	}
-	writeJSON(w, r, status, ErrorResponse{Error: err.Error(), Code: code})
+	httpsvc.WriteError(w, r, status, code, err.Error())
 }
 
 func writeBadRequest(w http.ResponseWriter, r *http.Request, err error) {
-	writeJSON(w, r, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Code: CodeInvalid})
-}
-
-// decodeProfile reads one profile from the (possibly gzipped) request body.
-func decodeProfile(r *http.Request) (*profile.Profile, error) {
-	body, err := requestBody(r)
-	if err != nil {
-		return nil, err
-	}
-	defer body.Close()
-	data, err := io.ReadAll(body)
-	if err != nil {
-		return nil, fmt.Errorf("read body: %w", err)
-	}
-	return profile.Decode(data)
+	httpsvc.WriteError(w, r, http.StatusBadRequest, httpsvc.CodeInvalid, err.Error())
 }
 
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
-	p, err := decodeProfile(r)
-	if err != nil {
+	var p profile.Profile
+	if !httpsvc.DecodeJSON(w, r, maxPutBody, &p) {
+		return
+	}
+	if err := p.Validate(); err != nil {
 		writeBadRequest(w, r, err)
 		return
 	}
 	key := p.Key()
 	var dropped int
+	var err error
 	if r.URL.Query().Get("truncate") == "1" {
 		tr, ok := s.backend.(store.Truncator)
 		if !ok {
 			// Backends without a document limit cannot overflow; a
 			// strict put is equivalent.
-			err = s.backend.Put(p)
+			err = s.backend.Put(&p)
 		} else {
-			dropped, err = tr.PutTruncated(p)
+			dropped, err = tr.PutTruncated(&p)
 		}
 	} else {
-		err = s.backend.Put(p)
+		err = s.backend.Put(&p)
 	}
 	if err != nil {
 		writeError(w, r, err)
 		return
 	}
-	writeJSON(w, r, http.StatusOK, PutResponse{Key: key, Dropped: dropped, Generation: s.bump(key)})
+	httpsvc.WriteJSON(w, r, http.StatusOK, PutResponse{Key: key, Dropped: dropped, Generation: s.bump(key)})
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := requestBody(r)
-	if err != nil {
-		writeBadRequest(w, r, err)
-		return
-	}
-	defer body.Close()
 	var req BatchRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeBadRequest(w, r, fmt.Errorf("decode batch: %w", err))
+	if !httpsvc.DecodeJSON(w, r, maxBatchBody, &req) {
 		return
 	}
 	resp := BatchResponse{Results: make([]BatchItem, len(req.Profiles))}
 	for i, p := range req.Profiles {
 		item := &resp.Results[i]
 		if p == nil {
-			item.Error, item.Code = "nil profile", CodeInvalid
+			item.Error, item.Code = "nil profile", httpsvc.CodeInvalid
 			continue
 		}
 		if err := p.Validate(); err != nil {
-			item.Error, item.Code = err.Error(), CodeInvalid
+			item.Error, item.Code = err.Error(), httpsvc.CodeInvalid
 			continue
 		}
 		var perr error
@@ -410,14 +270,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			case errors.Is(perr, store.ErrNotFound):
 				item.Code = CodeNotFound
 			default:
-				item.Code = CodeInternal
+				item.Code = httpsvc.CodeInternal
 			}
 			continue
 		}
 		item.Key = p.Key()
 		s.bump(item.Key)
 	}
-	writeJSON(w, r, http.StatusOK, resp)
+	httpsvc.WriteJSON(w, r, http.StatusOK, resp)
 }
 
 func (s *Server) handleFind(w http.ResponseWriter, r *http.Request) {
@@ -443,7 +303,7 @@ func (s *Server) handleFind(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("ETag", etag)
-	writeJSON(w, r, http.StatusOK, set)
+	httpsvc.WriteJSON(w, r, http.StatusOK, set)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -470,5 +330,5 @@ func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
 	if keys == nil {
 		keys = []string{}
 	}
-	writeJSON(w, r, http.StatusOK, KeysResponse{Keys: keys})
+	httpsvc.WriteJSON(w, r, http.StatusOK, KeysResponse{Keys: keys})
 }

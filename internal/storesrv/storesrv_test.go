@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"synapse/internal/httpsvc"
 	"synapse/internal/profile"
 	"synapse/internal/store"
 	"synapse/internal/store/storetest"
@@ -159,7 +160,7 @@ func TestStructuredErrors(t *testing.T) {
 	if w.Code != http.StatusNotFound {
 		t.Fatalf("missing profile = %d", w.Code)
 	}
-	var er ErrorResponse
+	var er httpsvc.ErrorResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +228,8 @@ func TestBatchMixedResults(t *testing.T) {
 	if br.Results[0].Error != "" || br.Results[0].Key != "a" {
 		t.Errorf("good item failed: %+v", br.Results[0])
 	}
-	if br.Results[1].Code != CodeInvalid {
-		t.Errorf("bad item code = %q, want %q", br.Results[1].Code, CodeInvalid)
+	if br.Results[1].Code != httpsvc.CodeInvalid {
+		t.Errorf("bad item code = %q, want %q", br.Results[1].Code, httpsvc.CodeInvalid)
 	}
 }
 
@@ -315,7 +316,7 @@ func TestGzipRequestAndResponse(t *testing.T) {
 }
 
 func TestPprofMountOptional(t *testing.T) {
-	on := New(store.NewMem(), Config{Pprof: true})
+	on := New(store.NewMem(), Config{Config: httpsvc.Config{Pprof: true}})
 	w := doJSON(t, on, http.MethodGet, "/debug/pprof/", nil)
 	if w.Code != http.StatusOK {
 		t.Errorf("pprof enabled index = %d", w.Code)
@@ -347,5 +348,53 @@ func TestStartAndShutdown(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + addr.String() + "/v1/healthz"); err == nil {
 		t.Error("server still serving after Shutdown")
+	}
+}
+
+// filler is an endless body of spaces, so a test can declare a huge body
+// without holding it in memory.
+type filler struct{}
+
+func (filler) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestBodyLimits: request bodies are bounded per route, after gunzip, and
+// a body past its limit is refused with 413/too_large — a code apart from
+// the backend's doc_too_large.
+func TestBodyLimits(t *testing.T) {
+	s, _ := newServer(t)
+
+	// A gzip bomb: tens of KB on the wire, past maxPutBody once inflated.
+	var bomb bytes.Buffer
+	zw := gzip.NewWriter(&bomb)
+	_, _ = io.WriteString(zw, `{"command":"`)
+	spaces := bytes.Repeat([]byte{' '}, 1<<20)
+	for n := int64(0); n <= maxPutBody; n += int64(len(spaces)) {
+		_, _ = zw.Write(spaces)
+	}
+	_ = zw.Close()
+	if int64(bomb.Len()) > maxPutBody/256 {
+		t.Fatalf("bomb is %d bytes compressed; the test wants a small wire body", bomb.Len())
+	}
+	put := httptest.NewRequest(http.MethodPut, "/v1/profiles", &bomb)
+	put.Header.Set("Content-Encoding", "gzip")
+
+	// An oversize batch, declared up front.
+	batch := httptest.NewRequest(http.MethodPost, "/v1/profiles:batch",
+		io.MultiReader(strings.NewReader(`{"profiles":[`), io.LimitReader(filler{}, maxBatchBody)))
+	batch.ContentLength = maxBatchBody + int64(len(`{"profiles":[`))
+
+	for _, req := range []*http.Request{put, batch} {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, req)
+		var er httpsvc.ErrorResponse
+		_ = json.Unmarshal(w.Body.Bytes(), &er)
+		if w.Code != http.StatusRequestEntityTooLarge || er.Code != httpsvc.CodeTooLarge {
+			t.Errorf("%s %s: %d %q, want 413/%s", req.Method, req.URL.Path, w.Code, er.Code, httpsvc.CodeTooLarge)
+		}
 	}
 }
