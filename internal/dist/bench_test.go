@@ -42,25 +42,25 @@ func BenchmarkDist(b *testing.B) {
 	}
 }
 
-// delayedWorker serializes its executes behind a mutex and adds a fixed
+// delayedWorker serializes its chunks behind a mutex and adds a fixed
 // delay to each — a worker an order of magnitude slower than its siblings,
 // the benchmark's injected straggler. It honors cancellation, like a real
-// remote worker, and hides the streaming face so delays apply per chunk.
+// remote worker.
 type delayedWorker struct {
 	Worker
 	mu    sync.Mutex
 	delay time.Duration
 }
 
-func (d *delayedWorker) Execute(ctx context.Context, req *ExecuteRequest) ([]*scenario.Outcome, error) {
+func (d *delayedWorker) ExecuteStream(ctx context.Context, req *ExecuteRequest, emit func([]*scenario.Outcome) error) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	select {
 	case <-time.After(d.delay):
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	return d.Worker.Execute(ctx, req)
+	return d.Worker.ExecuteStream(ctx, req, emit)
 }
 
 // barrierExecutor is the pre-chunking dispatch discipline, kept as the
@@ -110,19 +110,21 @@ func (e *barrierExecutor) ExecuteJobs(ctx context.Context, jobs []scenario.Job) 
 		wg.Add(1)
 		go func(s int, w Worker, idxs []int, payload []scenario.Job) {
 			defer wg.Done()
-			res, err := w.Execute(ctx, &ExecuteRequest{
+			k := 0
+			errs[s] = w.ExecuteStream(ctx, &ExecuteRequest{
 				Session: e.creq.Session, Shard: s, ShardKey: e.keys[s], Jobs: payload,
+			}, func(res []*scenario.Outcome) error {
+				if k+len(res) > len(idxs) {
+					return fmt.Errorf("shard %d: more than %d outcomes for %d jobs", s, k+len(res), len(idxs))
+				}
+				for _, o := range res {
+					outs[idxs[k]] = o
+					k++
+				}
+				return nil
 			})
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			if len(res) != len(idxs) {
-				errs[s] = fmt.Errorf("shard %d: %d outcomes for %d jobs", s, len(res), len(idxs))
-				return
-			}
-			for k, gi := range idxs {
-				outs[gi] = res[k]
+			if errs[s] == nil && k != len(idxs) {
+				errs[s] = fmt.Errorf("shard %d: %d outcomes for %d jobs", s, k, len(idxs))
 			}
 		}(s, e.fleet[s%len(e.fleet)], idxs, payload)
 	}

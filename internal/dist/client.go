@@ -51,26 +51,28 @@ func (w *HTTPWorker) Compile(ctx context.Context, req *CompileRequest) error {
 	return nil
 }
 
-// Execute implements Worker.
+// Execute resolves one chunk and returns its outcomes whole, in job
+// order: a collector over ExecuteStream for callers that want the slice.
 func (w *HTTPWorker) Execute(ctx context.Context, req *ExecuteRequest) ([]*scenario.Outcome, error) {
-	var resp ExecuteResponse
-	if err := w.post(ctx, "/v1/execute", req, &resp); err != nil {
+	outs := make([]*scenario.Outcome, 0, len(req.Jobs))
+	err := w.ExecuteStream(ctx, req, func(batch []*scenario.Outcome) error {
+		outs = append(outs, batch...)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return resp.Outcomes, nil
+	return outs, nil
 }
 
-// ExecuteStream implements StreamWorker: it asks for an NDJSON response and
-// hands each outcome batch to emit as it is decoded, so the chunk's result
-// never materializes as one body on either side. A terminal done line is
-// required — a stream that ends without one (connection cut, worker died
-// mid-chunk) is an error, never a silently short result. Servers that
-// predate streaming answer with a plain JSON body; that degrades to a
-// single emit.
+// ExecuteStream implements Worker: it posts the chunk and hands each
+// outcome batch of the NDJSON response to emit as it is decoded, so the
+// chunk's result never materializes as one body on either side. A
+// terminal done line is required — a response that ends without one
+// (connection cut, worker died mid-chunk, not a stream at all) is an
+// error, never a silently short result.
 func (w *HTTPWorker) ExecuteStream(ctx context.Context, req *ExecuteRequest, emit func(outs []*scenario.Outcome) error) error {
-	sreq := *req
-	sreq.Stream = true
-	body, err := json.Marshal(&sreq)
+	body, err := json.Marshal(req)
 	if err != nil {
 		return fmt.Errorf("dist: encode /v1/execute: %w", err)
 	}
@@ -86,14 +88,6 @@ func (w *HTTPWorker) ExecuteStream(ctx context.Context, req *ExecuteRequest, emi
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return w.decodeError("/v1/execute", resp)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "ndjson") {
-		// Pre-streaming server: one ExecuteResponse body, emitted whole.
-		var er ExecuteResponse
-		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-			return fmt.Errorf("dist: %s /v1/execute: decode response: %w", w.base, err)
-		}
-		return emit(er.Outcomes)
 	}
 	dec := json.NewDecoder(resp.Body)
 	streamed := 0

@@ -397,7 +397,7 @@ func (co *Coordinator) stealThreshold() time.Duration {
 }
 
 // outcomesDigest canonically hashes a chunk's outcomes: FNV-1a over the
-// JSON encoding (Go marshals map keys sorted, so the encoding is
+// JSON encoding (fixed fields and arrays only, so the encoding is
 // canonical). Equal digests mean byte-equal encodings — the check that
 // makes first-complete-wins speculation safe: a primary and its twin must
 // be indistinguishable, or the workers are nondeterministic and no fold
@@ -825,9 +825,8 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 	return nil
 }
 
-// ExecuteJobs implements scenario.Executor by collecting the stream — the
-// path cluster-mode instants take, where each batch is folded immediately
-// by the caller anyway.
+// ExecuteJobs implements scenario.Executor by collecting the stream, for
+// callers that want the whole slice; scenario.Run takes the streaming face.
 func (co *Coordinator) ExecuteJobs(ctx context.Context, jobs []scenario.Job) ([]*scenario.Outcome, error) {
 	outs := make([]*scenario.Outcome, len(jobs))
 	err := co.ExecuteJobsStream(ctx, jobs, func(first int, batch []*scenario.Outcome) error {
@@ -842,8 +841,8 @@ func (co *Coordinator) ExecuteJobs(ctx context.Context, jobs []scenario.Job) ([]
 
 // executeChunk runs one chunk attempt on one worker under the retry
 // policy, compiling the session on first contact (or after the worker lost
-// it). Streaming workers deliver their outcomes incrementally; the batches
-// are gathered here because commit is all-or-nothing per attempt — the
+// it). Workers stream their outcomes incrementally; the batches are
+// gathered here because commit is all-or-nothing per attempt — the
 // first-complete-wins race and the byte-equality check both need the
 // chunk's result whole.
 func (co *Coordinator) executeChunk(ctx context.Context, ws *workerState, c *chunkState, speculative bool) ([]*scenario.Outcome, error) {
@@ -860,17 +859,11 @@ func (co *Coordinator) executeChunk(ctx context.Context, ws *workerState, c *chu
 			return err
 		}
 		co.rpcs.Add(1)
-		var o []*scenario.Outcome
-		var err error
-		if sw, ok := ws.w.(StreamWorker); ok {
-			o = make([]*scenario.Outcome, 0, len(c.jobs))
-			err = sw.ExecuteStream(ctx, req, func(batch []*scenario.Outcome) error {
-				o = append(o, batch...)
-				return nil
-			})
-		} else {
-			o, err = ws.w.Execute(ctx, req)
-		}
+		o := make([]*scenario.Outcome, 0, len(c.jobs))
+		err := ws.w.ExecuteStream(ctx, req, func(batch []*scenario.Outcome) error {
+			o = append(o, batch...)
+			return nil
+		})
 		if errors.Is(err, ErrNoSession) {
 			// The worker restarted or evicted us: force a fresh compile
 			// and report transient so the policy retries this chunk here.

@@ -155,7 +155,7 @@ func TestDistMatchesLocalRun(t *testing.T) {
 }
 
 // dyingWorker passes through to its inner worker for the first dieAfter
-// Execute calls, then fails every one — a worker crash as the coordinator
+// chunks, then fails every one — a worker crash as the coordinator
 // observes it.
 type dyingWorker struct {
 	Worker
@@ -164,15 +164,15 @@ type dyingWorker struct {
 	dieAfter int
 }
 
-func (d *dyingWorker) Execute(ctx context.Context, req *ExecuteRequest) ([]*scenario.Outcome, error) {
+func (d *dyingWorker) ExecuteStream(ctx context.Context, req *ExecuteRequest, emit func([]*scenario.Outcome) error) error {
 	d.mu.Lock()
 	d.calls++
 	n := d.calls
 	d.mu.Unlock()
 	if n > d.dieAfter {
-		return nil, fmt.Errorf("injected worker crash (call %d)", n)
+		return fmt.Errorf("injected worker crash (call %d)", n)
 	}
-	return d.Worker.Execute(ctx, req)
+	return d.Worker.ExecuteStream(ctx, req, emit)
 }
 
 func (d *dyingWorker) executeCalls() int {

@@ -91,22 +91,14 @@ type ExecuteRequest struct {
 	Shard    int            `json:"shard"`
 	ShardKey uint64         `json:"shard_key"`
 	Jobs     []scenario.Job `json:"jobs"`
-	// Stream asks for a chunked NDJSON response (StreamChunk lines) instead
-	// of one ExecuteResponse body, so outcomes flow back as they complete.
-	Stream bool `json:"stream,omitempty"`
 	// Speculative marks a straggler re-execution of a chunk already in
 	// flight elsewhere. Purely informational — the work is identical — but
 	// workers count it, so speculation is observable fleet-side.
 	Speculative bool `json:"speculative,omitempty"`
 }
 
-// ExecuteResponse returns the chunk's outcomes, in job order.
-type ExecuteResponse struct {
-	Outcomes []*scenario.Outcome `json:"outcomes"`
-}
-
-// StreamChunk is one NDJSON line of a streaming execute response. Outcome
-// lines carry contiguous job-order batches; the terminal line has either
+// StreamChunk is one NDJSON line of an execute response. Outcome lines
+// carry contiguous job-order batches; the terminal line has either
 // Done set (with N echoing the total streamed, a truncation check) or an
 // in-band structured error — failures can surface after the 200 status is
 // already on the wire.

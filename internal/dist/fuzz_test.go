@@ -40,12 +40,12 @@ func FuzzWorkerRequest(f *testing.F) {
 	keys := ShardKeys(spec.Seed, 2)
 	req := ExecuteRequest{Session: "s", Shard: 0, ShardKey: keys[0], Jobs: shardJobs(f, keys, 0, 2)}
 	execute, _ := json.Marshal(&req)
-	req.Stream = true
-	stream, _ := json.Marshal(&req)
+	// An older coordinator's body: the retired "stream" flag is ignored.
+	legacy := append([]byte(`{"stream":true,`), execute[1:]...)
 
 	f.Add(false, compile)
 	f.Add(true, execute)
-	f.Add(true, stream)
+	f.Add(true, legacy)
 	f.Add(false, []byte(`{"session":"s","spec":{},"shards":-1}`))
 	f.Add(true, []byte(`{"session":"s","shard":0,"shard_key":0,"jobs":[{"w":7}]}`))
 	f.Add(true, []byte(`{"session":"ghost"}`))
@@ -86,13 +86,15 @@ func (b replay) RoundTrip(req *http.Request) (*http.Response, error) {
 // the client must either fail or have emitted exactly as many outcomes as
 // the stream's terminal done line reports.
 func FuzzExecuteStream(f *testing.F) {
-	f.Add([]byte(`{"outcomes":[{},{}]}` + "\n" + `{"outcomes":[{}]}` + "\n" + `{"done":true,"n":3}` + "\n"))
+	one := `{"tx":5,"busy":[3,0,1,2],"consumed":{}}`
+	f.Add([]byte(`{"outcomes":[` + one + `,{"tx":1,"busy":[1,0,0,0]}]}` + "\n" + `{"outcomes":[` + one + `]}` + "\n" + `{"done":true,"n":3}` + "\n"))
 	f.Add([]byte(`{"done":true,"n":0}`))
-	f.Add([]byte(`{"outcomes":[{}]}` + "\n")) // truncated: no done line
-	f.Add([]byte(`{"outcomes":[{}]}` + "\n" + `{"done":true,"n":2}`))
+	f.Add([]byte(`{"outcomes":[` + one + `]}` + "\n")) // truncated: no done line
+	f.Add([]byte(`{"outcomes":[` + one + `]}` + "\n" + `{"done":true,"n":2}`))
 	f.Add([]byte(`{"error":"dist: session evicted","code":"no_session"}`))
 	f.Add([]byte(`{"outcomes":[null]}{"done":true,"n":1}`))
 	f.Add([]byte("not json"))
+	f.Add([]byte(`{"outcomes":[{"tx":5,"busy":{"compute":3}}]}` + "\n" + `{"done":true,"n":1}`)) // retired map form
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		w := NewHTTPWorker("http://worker", &http.Client{Transport: replay(body)})

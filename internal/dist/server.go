@@ -46,15 +46,15 @@ type ServerConfig struct {
 	// MaxSessions bounds held compile sessions; the oldest is evicted
 	// past the cap (0 = 4). Coordinators recover via no_session.
 	MaxSessions int
-	// StreamBatch is the outcome-batch granularity of streaming execute
-	// responses — one NDJSON line per about this many outcomes (0 = 64).
+	// StreamBatch is the outcome-batch granularity of execute responses —
+	// one NDJSON line per about this many outcomes (0 = 64).
 	StreamBatch int
 }
 
 // WorkerServer serves the worker protocol over HTTP:
 //
 //	POST /v1/compile   compile a session (CompileRequest -> CompileResponse)
-//	POST /v1/execute   execute one shard (ExecuteRequest -> ExecuteResponse)
+//	POST /v1/execute   execute one chunk (ExecuteRequest -> NDJSON StreamChunk lines)
 //	GET  /v1/healthz   liveness + admission counters + build identity
 //	GET  /v1/metrics   Prometheus text exposition (RED + worker series)
 //
@@ -159,18 +159,8 @@ func (s *WorkerServer) handleExecute(w http.ResponseWriter, r *http.Request) {
 	if req.Speculative {
 		s.specRun.Inc()
 	}
-	if !req.Stream {
-		outs, err := sess.runner.ExecuteJobs(r.Context(), req.Jobs)
-		if err != nil {
-			writeError(w, r, err)
-			return
-		}
-		s.jobsRun.Add(int64(len(req.Jobs)))
-		httpsvc.WriteJSON(w, r, http.StatusOK, ExecuteResponse{Outcomes: outs})
-		return
-	}
-	// Streaming: one NDJSON StreamChunk line per outcome batch, flushed as
-	// the runner's reorder buffer releases the contiguous prefix, then a
+	// One NDJSON StreamChunk line per outcome batch, flushed as the
+	// runner's reorder buffer releases the contiguous prefix, then a
 	// terminal done (or in-band error) line.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)

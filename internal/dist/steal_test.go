@@ -12,18 +12,17 @@ import (
 	"synapse/internal/scenario"
 )
 
-// slowWorker delays every Execute by a fixed amount and ignores
+// slowWorker delays every chunk by a fixed amount and ignores
 // cancellation — a straggler that always delivers, so the coordinator's
-// late-loser verification path actually runs. It deliberately does not
-// implement StreamWorker, so it also exercises the non-streaming fallback.
+// late-loser verification path actually runs.
 type slowWorker struct {
 	Worker
 	delay time.Duration
 }
 
-func (s *slowWorker) Execute(ctx context.Context, req *ExecuteRequest) ([]*scenario.Outcome, error) {
+func (s *slowWorker) ExecuteStream(ctx context.Context, req *ExecuteRequest, emit func([]*scenario.Outcome) error) error {
 	time.Sleep(s.delay)
-	return s.Worker.Execute(context.WithoutCancel(ctx), req)
+	return s.Worker.ExecuteStream(context.WithoutCancel(ctx), req, emit)
 }
 
 // obedientSlowWorker is a straggler that honors cancellation — the normal
@@ -34,31 +33,33 @@ type obedientSlowWorker struct {
 	delay time.Duration
 }
 
-func (s *obedientSlowWorker) Execute(ctx context.Context, req *ExecuteRequest) ([]*scenario.Outcome, error) {
+func (s *obedientSlowWorker) ExecuteStream(ctx context.Context, req *ExecuteRequest, emit func([]*scenario.Outcome) error) error {
 	select {
 	case <-time.After(s.delay):
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	return s.Worker.Execute(ctx, req)
+	return s.Worker.ExecuteStream(ctx, req, emit)
 }
 
-// evilWorker is a slowWorker that additionally perturbs its first outcome —
-// a nondeterministic worker, which the speculation race must detect rather
-// than silently fold.
+// evilWorker is a slowWorker that additionally perturbs the first outcome
+// of every chunk — a nondeterministic worker, which the speculation race
+// must detect rather than silently fold.
 type evilWorker struct {
 	slowWorker
 }
 
-func (e *evilWorker) Execute(ctx context.Context, req *ExecuteRequest) ([]*scenario.Outcome, error) {
-	outs, err := e.slowWorker.Execute(ctx, req)
-	if err != nil || len(outs) == 0 {
-		return outs, err
-	}
-	perturbed := *outs[0]
-	perturbed.Tx += time.Nanosecond
-	outs[0] = &perturbed
-	return outs, nil
+func (e *evilWorker) ExecuteStream(ctx context.Context, req *ExecuteRequest, emit func([]*scenario.Outcome) error) error {
+	first := true
+	return e.slowWorker.ExecuteStream(ctx, req, func(outs []*scenario.Outcome) error {
+		if first && len(outs) > 0 {
+			first = false
+			perturbed := *outs[0]
+			perturbed.Tx += time.Nanosecond
+			outs = append([]*scenario.Outcome{&perturbed}, outs[1:]...)
+		}
+		return emit(outs)
+	})
 }
 
 // countingWorker counts compile RPCs, for the session-affinity regression.
@@ -72,20 +73,20 @@ func (c *countingWorker) Compile(ctx context.Context, req *CompileRequest) error
 	return c.Worker.Compile(ctx, req)
 }
 
-// slowFailWorker compiles fine but fails every Execute after a delay — a
+// slowFailWorker compiles fine but fails every chunk after a delay — a
 // worker that accepts a session and then takes its chunks down with it.
 type slowFailWorker struct {
 	Worker
 	delay time.Duration
 }
 
-func (s *slowFailWorker) Execute(ctx context.Context, req *ExecuteRequest) ([]*scenario.Outcome, error) {
+func (s *slowFailWorker) ExecuteStream(ctx context.Context, req *ExecuteRequest, emit func([]*scenario.Outcome) error) error {
 	select {
 	case <-time.After(s.delay):
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	return nil, context.DeadlineExceeded // transient-looking, exhausts the policy
+	return context.DeadlineExceeded // transient-looking, exhausts the policy
 }
 
 // TestDistStealRaceFirstCompleteWins is the speculation property test: with

@@ -33,10 +33,10 @@ func shardJobs(tb testing.TB, keys []uint64, shard, n int) []scenario.Job {
 	return jobs
 }
 
-// TestHTTPStreamingExecute pins the NDJSON streaming wire path: a streaming
-// execute against a real daemon arrives as multiple outcome lines plus a
-// terminal done line, and the concatenated batches are exactly what the
-// plain execute path returns.
+// TestHTTPStreamingExecute pins the NDJSON wire path: an execute against a
+// real daemon arrives as multiple outcome lines plus a terminal done line,
+// and the concatenated batches are exactly what the same chunk yields in
+// process.
 func TestHTTPStreamingExecute(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	st := seedStore(t, "mdsim", "sleep")
@@ -50,14 +50,22 @@ func TestHTTPStreamingExecute(t *testing.T) {
 	_, base := startServer(t, ServerConfig{Workers: 1, StreamBatch: 2})
 	w := NewHTTPWorker(base, nil)
 	ctx := context.Background()
-	if err := w.Compile(ctx, &CompileRequest{Session: "s", Spec: spec, Profiles: profs, Shards: 2}); err != nil {
+	creq := &CompileRequest{Session: "s", Spec: spec, Profiles: profs, Shards: 2}
+	if err := w.Compile(ctx, creq); err != nil {
 		t.Fatal(err)
 	}
 	keys := ShardKeys(spec.Seed, 2)
 	req := &ExecuteRequest{Session: "s", Shard: 0, ShardKey: keys[0], Jobs: shardJobs(t, keys, 0, 6)}
 
-	want, err := w.Execute(ctx, req)
-	if err != nil {
+	local := NewLocalWorker("local", 1)
+	if err := local.Compile(ctx, creq); err != nil {
+		t.Fatal(err)
+	}
+	var want []*scenario.Outcome
+	if err := local.ExecuteStream(ctx, req, func(outs []*scenario.Outcome) error {
+		want = append(want, outs...)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	var got []*scenario.Outcome
@@ -76,11 +84,19 @@ func TestHTTPStreamingExecute(t *testing.T) {
 	a, _ := json.Marshal(want)
 	b, _ := json.Marshal(got)
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("streamed outcomes differ from plain execute\nstream: %s\nplain:  %s", b, a)
+		t.Errorf("streamed outcomes differ from in-process execution\nwire:       %s\nin process: %s", b, a)
+	}
+	// Execute is the same stream, collected.
+	collected, err := w.Execute(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, _ := json.Marshal(collected); !reflect.DeepEqual(c, a) {
+		t.Errorf("collected outcomes differ from in-process execution\nwire:       %s\nin process: %s", c, a)
 	}
 
 	// Pre-stream validation failures must come back as proper statuses with
-	// sentinel codes, exactly like the non-streaming path.
+	// sentinel codes.
 	err = w.ExecuteStream(ctx, &ExecuteRequest{Session: "ghost"}, func([]*scenario.Outcome) error { return nil })
 	if !errors.Is(err, ErrNoSession) {
 		t.Errorf("unknown session over stream: %v, want ErrNoSession", err)
@@ -91,9 +107,10 @@ func TestHTTPStreamingExecute(t *testing.T) {
 	}
 }
 
-// TestStreamClientFallbackAndTruncation covers the client against servers
-// that cannot stream: a plain-JSON answer degrades to a single emit, and an
-// NDJSON stream that ends without a done line is an error, never a silently
+// TestStreamClientFallbackAndTruncation covers the client against answers
+// that are not a complete stream: a plain-JSON body (a server that predates
+// streaming), an NDJSON stream that ends without a done line, a done line
+// miscounting, and an in-band error — each an error, never a silently
 // short result.
 func TestStreamClientFallbackAndTruncation(t *testing.T) {
 	ctx := context.Background()
@@ -102,14 +119,12 @@ func TestStreamClientFallbackAndTruncation(t *testing.T) {
 
 	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(&ExecuteResponse{Outcomes: []*scenario.Outcome{}})
+		fmt.Fprintln(w, `{"outcomes":[]}`)
 	}))
 	defer legacy.Close()
-	if err := NewHTTPWorker(legacy.URL, nil).ExecuteStream(ctx, &ExecuteRequest{Session: "s"}, collect); err != nil {
-		t.Errorf("plain-JSON fallback: %v", err)
-	}
-	if emitCount != 1 {
-		t.Errorf("fallback emitted %d times, want 1", emitCount)
+	err := NewHTTPWorker(legacy.URL, nil).ExecuteStream(ctx, &ExecuteRequest{Session: "s"}, collect)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("plain-JSON answer: err = %v, want truncation error", err)
 	}
 
 	cut := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -117,7 +132,7 @@ func TestStreamClientFallbackAndTruncation(t *testing.T) {
 		fmt.Fprintln(w, `{"outcomes":[]}`) // a batch line, then EOF: no done line
 	}))
 	defer cut.Close()
-	err := NewHTTPWorker(cut.URL, nil).ExecuteStream(ctx, &ExecuteRequest{Session: "s"}, collect)
+	err = NewHTTPWorker(cut.URL, nil).ExecuteStream(ctx, &ExecuteRequest{Session: "s"}, collect)
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Errorf("cut stream: err = %v, want truncation error", err)
 	}
@@ -141,5 +156,45 @@ func TestStreamClientFallbackAndTruncation(t *testing.T) {
 	err = NewHTTPWorker(inband.URL, nil).ExecuteStream(ctx, &ExecuteRequest{Session: "s"}, collect)
 	if !errors.Is(err, ErrNoSession) {
 		t.Errorf("in-band stream error: err = %v, want ErrNoSession", err)
+	}
+}
+
+// TestDistRejectsMapFormOutcomes is the wire-format guard: outcomes carry
+// per-atom busy time as a fixed array, and a worker still streaming the
+// retired map form ("busy":{"compute":…}) — well-formed NDJSON, right
+// count, done line and all — must fail the run rather than fold zeroed
+// busy times into a report.
+func TestDistRejectsMapFormOutcomes(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	st := seedStore(t, "mdsim", "sleep")
+	spec := jitteredSpec()
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/compile":
+			var req CompileRequest
+			json.NewDecoder(r.Body).Decode(&req)
+			json.NewEncoder(w).Encode(CompileResponse{Session: req.Session, Seed: req.Spec.Seed})
+		case "/v1/execute":
+			var req ExecuteRequest
+			json.NewDecoder(r.Body).Decode(&req)
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			for range req.Jobs {
+				fmt.Fprintln(w, `{"outcomes":[{"tx":1000,"busy":{"compute":1000},"consumed":{}}]}`)
+			}
+			fmt.Fprintf(w, `{"done":true,"n":%d}`+"\n", len(req.Jobs))
+		}
+	}))
+	defer old.Close()
+	defer old.CloseClientConnections()
+	rep, err := Run(context.Background(), spec, st, Config{
+		Workers: []Worker{NewHTTPWorker(old.URL, nil)},
+		Retry:   fastRetry(),
+	}, scenario.RunOptions{})
+	if err == nil || rep != nil {
+		t.Fatalf("map-form outcomes folded: report %v, err %v; want an error and no report", rep != nil, err)
+	}
+	// Each decode failure marks the worker dead, like any failed chunk.
+	if !errors.Is(err, ErrNoWorkers) {
+		t.Errorf("err = %v, want ErrNoWorkers", err)
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // Worker is one fleet member as the coordinator sees it: compile a session,
-// execute shards against it. Implementations: LocalWorker (in-process),
-// HTTPWorker (a synapse-worker daemon). The contract is purity — Execute's
+// execute chunks against it. Implementations: LocalWorker (in-process),
+// HTTPWorker (a synapse-worker daemon). The contract is purity — a chunk's
 // outcomes depend only on the compiled (spec, profiles) and the jobs, so
 // the coordinator may send any shard to any worker, in any order, any
 // number of times.
@@ -21,20 +21,11 @@ type Worker interface {
 	Name() string
 	// Compile builds (or rebuilds — it is idempotent) the session.
 	Compile(ctx context.Context, req *CompileRequest) error
-	// Execute resolves one chunk's jobs, returning outcomes in job order.
+	// ExecuteStream resolves one chunk's jobs, handing the outcomes to emit
+	// in contiguous job-order batches as they complete; emit is called
+	// serially and its batches concatenate to one outcome per job.
 	// ErrNoSession means the worker lost the session (restart/eviction);
 	// the coordinator recompiles and retries.
-	Execute(ctx context.Context, req *ExecuteRequest) ([]*scenario.Outcome, error)
-}
-
-// StreamWorker is a Worker that can stream a chunk's outcomes back in
-// contiguous job-order batches as they complete, instead of one response
-// body — the transport face of the streaming partial fold. emit is called
-// serially; its batches concatenate to exactly Execute's result. The
-// coordinator uses it when available and falls back to Execute otherwise,
-// so wrappers and old workers keep working.
-type StreamWorker interface {
-	Worker
 	ExecuteStream(ctx context.Context, req *ExecuteRequest, emit func(outs []*scenario.Outcome) error) error
 }
 
@@ -140,15 +131,6 @@ func (ss *sessions) lookup(req *ExecuteRequest) (*session, error) {
 	return s, nil
 }
 
-// execute runs one chunk against a held session.
-func (ss *sessions) execute(ctx context.Context, req *ExecuteRequest) ([]*scenario.Outcome, error) {
-	s, err := ss.lookup(req)
-	if err != nil {
-		return nil, err
-	}
-	return s.runner.ExecuteJobs(ctx, req.Jobs)
-}
-
 // executeStream runs one chunk, emitting outcomes in contiguous job-order
 // batches of about batch as the runner's fan-out completes them.
 func (ss *sessions) executeStream(ctx context.Context, req *ExecuteRequest, batch int, emit func(outs []*scenario.Outcome) error) error {
@@ -183,13 +165,8 @@ func (w *LocalWorker) Compile(ctx context.Context, req *CompileRequest) error {
 	return err
 }
 
-// Execute implements Worker.
-func (w *LocalWorker) Execute(ctx context.Context, req *ExecuteRequest) ([]*scenario.Outcome, error) {
-	return w.sessions.execute(ctx, req)
-}
-
-// ExecuteStream implements StreamWorker: the transport-free streaming path,
-// emitting straight from the runner's reorder buffer.
+// ExecuteStream implements Worker: the transport-free path, emitting
+// straight from the runner's reorder buffer.
 func (w *LocalWorker) ExecuteStream(ctx context.Context, req *ExecuteRequest, emit func(outs []*scenario.Outcome) error) error {
 	return w.sessions.executeStream(ctx, req, 0, emit)
 }

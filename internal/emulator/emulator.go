@@ -37,6 +37,25 @@ const DefaultStartupDelay = time.Second
 // ("a tight loop that feeds into the Synapse atoms", paper §4.5).
 const DefaultSampleOverhead = 200 * time.Microsecond
 
+// NumAtoms is the number of emulation atoms (paper §4.4).
+const NumAtoms = 4
+
+// AtomNames names the atoms in the order every per-atom array of the
+// emulation pipeline is indexed by: Report.Busy here, the scenario
+// engine's Outcome.Busy on the distributed wire. The order is by name, so
+// a breakdown walked in index order is already sorted.
+var AtomNames = [NumAtoms]string{"compute", "memory", "network", "storage"}
+
+// atomIndex returns name's index in AtomNames, or -1.
+func atomIndex(name string) int {
+	for i, a := range AtomNames {
+		if a == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // TraceLevel selects how much per-sample detail Emulate records. Most
 // experiments only need the aggregate report (Tx, Consumed, BusyTime), and
 // skipping trace collection keeps the replay loop allocation-free.
@@ -123,16 +142,15 @@ type Report struct {
 	Machine string
 	// Kernel is the compute kernel used.
 	Kernel string
+	// Busy is each atom's total active time across samples, indexed like
+	// AtomNames and accumulated in a single pass while the samples replay.
+	Busy [NumAtoms]time.Duration
 
 	// durations holds each sample's replay duration when the full trace
 	// is not kept (TraceDurations), or caches the durations derived from
 	// Trace on first SampleDurations call; Trace[i].Dur is the canonical
 	// source at TraceFull, so the two are never stored redundantly.
 	durations []time.Duration
-	// busy is the per-atom busy time, accumulated in a single pass while
-	// the samples replay (it used to be rescanned from the trace on every
-	// BusyTime call, O(samples × atoms) per query).
-	busy map[string]time.Duration
 }
 
 // SampleDurations returns each sample's replay duration, in order. At
@@ -149,22 +167,13 @@ func (r *Report) SampleDurations() []time.Duration {
 	return r.durations
 }
 
-// BusyTime returns the total time the named atom was active across samples.
-// The per-atom totals are precomputed during the replay; reports assembled
-// by hand fall back to scanning the trace.
+// BusyTime returns the total time the named atom was active across
+// samples (zero for a name that is not an atom).
 func (r *Report) BusyTime(atom string) time.Duration {
-	if r.busy != nil {
-		return r.busy[atom]
+	if i := atomIndex(atom); i >= 0 {
+		return r.Busy[i]
 	}
-	var total time.Duration
-	for _, st := range r.Trace {
-		for _, sp := range st.Spans {
-			if sp.Atom == atom {
-				total += sp.Dur
-			}
-		}
-	}
-	return total
+	return 0
 }
 
 // DominantAtom returns the atom that bounded the given sample (the slowest
@@ -249,7 +258,7 @@ func Emulate(ctx context.Context, p *profile.Profile, opts Options) (*Report, er
 // timeline or the bare duration according to the trace level.
 func (r *Report) record(level TraceLevel, i int, start time.Duration, spans []AtomSpan, dur time.Duration, consumed perfcount.Counters) {
 	for _, sp := range spans {
-		r.busy[sp.Atom] += sp.Dur
+		r.Busy[atomIndex(sp.Atom)] += sp.Dur
 	}
 	switch level {
 	case TraceFull:
@@ -318,31 +327,22 @@ func replayBatched(ctx context.Context, set []atoms.Atom, p *profile.Profile, cf
 	}
 	var reqs []atoms.Request
 	var results []atoms.Result
-	var busy []time.Duration
-	var names []string
 	if sc != nil {
 		if cap(sc.reqs) < bs {
 			sc.reqs = make([]atoms.Request, bs)
 			sc.results = make([]atoms.Result, len(set)*bs)
 		}
-		if cap(sc.busy) < len(set) {
-			sc.busy = make([]time.Duration, len(set))
-		}
 		reqs = sc.reqs[:bs]
 		results = sc.results[:len(set)*bs]
-		busy = sc.busy[:len(set)]
-		for ai := range busy {
-			busy[ai] = 0
-		}
-		names = sc.names
 	} else {
 		reqs = make([]atoms.Request, bs)
 		results = make([]atoms.Result, len(set)*bs)
-		busy = make([]time.Duration, len(set))
-		names = make([]string, len(set))
-		for ai, a := range set {
-			names[ai] = a.Name()
-		}
+	}
+	// slot maps each atom's position in the (possibly filtered) set to
+	// its AtomNames index.
+	var slot [NumAtoms]int
+	for ai, a := range set {
+		slot[ai] = atomIndex(a.Name())
 	}
 
 	// Span storage for the full trace is carved out of one growing arena;
@@ -402,9 +402,9 @@ func replayBatched(ctx context.Context, set []atoms.Atom, p *profile.Profile, cf
 					max = res.Dur
 				}
 				if res.Dur > 0 {
-					busy[ai] += res.Dur
+					rep.Busy[slot[ai]] += res.Dur
 					if level == TraceFull {
-						spanArena = append(spanArena, AtomSpan{Atom: names[ai], Dur: res.Dur})
+						spanArena = append(spanArena, AtomSpan{Atom: AtomNames[slot[ai]], Dur: res.Dur})
 					}
 				}
 				consumed.Accumulate(&res.Consumed)
@@ -425,11 +425,6 @@ func replayBatched(ctx context.Context, set []atoms.Atom, p *profile.Profile, cf
 			cursor += dur
 			rep.Consumed.Accumulate(&consumed)
 			rep.Samples++
-		}
-	}
-	for ai := range set {
-		if busy[ai] > 0 {
-			rep.busy[names[ai]] += busy[ai]
 		}
 	}
 	// One sleep for the whole replay: the simulated clock lands on the

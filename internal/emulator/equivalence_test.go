@@ -9,6 +9,7 @@ import (
 	"synapse/internal/atoms"
 	"synapse/internal/machine"
 	"synapse/internal/profile"
+	"synapse/internal/testutil"
 )
 
 // emulateBoth replays p twice — through the legacy serial loop and the
@@ -228,6 +229,31 @@ func TestBatchedReplayAllocCeiling(t *testing.T) {
 	}
 	t.Logf("allocs per replay of %d samples: serial=%.0f batched(full)=%.0f batched(none)=%.0f",
 		n, serialFull, batchedFull, batchedNone)
+
+	// The scenario engine's path: a pooled handle replaying into a
+	// caller-owned report allocates nothing once its scratch is warm.
+	t.Run("pooled", func(t *testing.T) {
+		if testutil.RaceEnabled {
+			t.Skip("the race detector makes sync.Pool drop items")
+		}
+		r, err := NewRun(p, Options{Atoms: atoms.Config{Machine: m}, TraceLevel: TraceNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep Report
+		emulate := func() {
+			if err := r.EmulateWithLoad(context.Background(), 0.25, &rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		emulate() // warm the pool
+		if allocs := testing.AllocsPerRun(20, emulate); allocs != 0 {
+			t.Errorf("pooled TraceNone replay into a caller-owned report: %.1f allocs, want 0", allocs)
+		}
+		if rep.Samples != n || rep.Tx <= 0 {
+			t.Errorf("report = %d samples, Tx %v; want %d samples", rep.Samples, rep.Tx, n)
+		}
+	})
 }
 
 // benchReplayProfile builds a deterministic mixed-demand profile of n

@@ -72,16 +72,31 @@ func NewRun(p *profile.Profile, opts Options) (*Run, error) {
 
 // Emulate replays the profile once and returns the run report.
 func (r *Run) Emulate(ctx context.Context) (*Report, error) {
-	return r.emulate(ctx, r.opts.Atoms)
+	rep := new(Report)
+	if err := r.emulate(ctx, r.opts.Atoms, rep); err != nil {
+		return nil, err
+	}
+	return rep, nil
 }
 
-// EmulateWithLoad replays the profile with the artificial background CPU
-// load overridden for this replay only — the scenario engine's per-instance
-// load jitter. The handle itself is not mutated.
-func (r *Run) EmulateWithLoad(ctx context.Context, load float64) (*Report, error) {
+// EmulateWithLoad replays the profile into the caller-owned rep, with the
+// artificial background CPU load overridden for this replay only — the
+// scenario engine's per-instance load jitter. The handle itself is not
+// mutated. rep is overwritten whole; a simulated replay at TraceNone
+// allocates nothing once the handle's scratch pool is warm.
+func (r *Run) EmulateWithLoad(ctx context.Context, load float64, rep *Report) error {
 	cfg := r.opts.Atoms
 	cfg.Load = load
-	return r.emulate(ctx, cfg)
+	return r.emulate(ctx, cfg, rep)
+}
+
+// begin resets rep to the header of one replay under cfg: what the report
+// says before its first sample.
+func (r *Run) begin(rep *Report, cfg *atoms.Config) {
+	*rep = Report{Machine: cfg.Machine.Name, Kernel: cfg.Kernel, Startup: r.startup}
+	if rep.Kernel == "" {
+		rep.Kernel = machine.KernelASM
+	}
 }
 
 // scratchEpoch is the simulated clock's fixed start time.
@@ -90,15 +105,13 @@ var scratchEpoch = time.Unix(0, 0).UTC()
 // replayScratch is one simulated replay's working set: the atom set (built
 // against the scratch's own config copy), the auto-advancing clock, and
 // the batched loop's staging buffers. Recycling it turns the per-replay
-// cost — four atoms, a clock, four slices — into a pool hit.
+// cost — four atoms, a clock, two slices — into a pool hit.
 type replayScratch struct {
 	cfg     atoms.Config
 	set     []atoms.Atom
-	names   []string
 	clk     clock.AutoSim
 	reqs    []atoms.Request
 	results []atoms.Result
-	busy    []time.Duration
 }
 
 // acquire returns a replay-ready scratch for cfg: recycled from the pool
@@ -121,10 +134,6 @@ func (r *Run) acquire(cfg atoms.Config) (*replayScratch, error) {
 		return nil, err
 	}
 	sc.set = filterAtoms(set, r.opts)
-	sc.names = make([]string, len(sc.set))
-	for i, a := range sc.set {
-		sc.names[i] = a.Name()
-	}
 	sc.clk = clock.NewAutoSim(scratchEpoch)
 	return sc, nil
 }
@@ -133,26 +142,18 @@ func (r *Run) acquire(cfg atoms.Config) (*replayScratch, error) {
 // engine's high-volume path. Nothing about it is observable outside the
 // report (the clock starts at a fixed epoch and Tx is assembled from
 // modeled parts), so the whole working set comes from the per-Run pool and
-// the steady state allocates only the report itself.
-func (r *Run) emulateSim(ctx context.Context, cfg atoms.Config) (*Report, error) {
+// the steady state allocates nothing but what the trace level retains.
+func (r *Run) emulateSim(ctx context.Context, cfg atoms.Config, rep *Report) error {
 	sc, err := r.acquire(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer r.pool.Put(sc)
 
 	if r.startup > 0 {
 		sc.clk.Sleep(r.startup)
 	}
-	rep := &Report{
-		Machine: sc.cfg.Machine.Name,
-		Kernel:  sc.cfg.Kernel,
-		Startup: r.startup,
-		busy:    make(map[string]time.Duration, len(sc.set)),
-	}
-	if rep.Kernel == "" {
-		rep.Kernel = machine.KernelASM
-	}
+	r.begin(rep, &sc.cfg)
 	var total time.Duration
 	if r.opts.Serial {
 		total, err = replaySerial(ctx, sc.set, r.p, &sc.cfg, r.opts.TraceLevel, r.overhead, sc.clk, rep)
@@ -160,20 +161,28 @@ func (r *Run) emulateSim(ctx context.Context, cfg atoms.Config) (*Report, error)
 		total, err = replayBatched(ctx, sc.set, r.p, &sc.cfg, r.opts.TraceLevel, r.overhead, sc.clk, rep, sc)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Simulated clocks advance exactly by slept time; assemble Tx from
 	// parts to avoid clock granularity concerns.
 	rep.Tx = r.startup + total
-	return rep, nil
+	return nil
 }
 
-// emulate is one replay: fresh atom set, fresh clock (unless the options
-// pinned one), then the batched / serial / real replay loop.
-func (r *Run) emulate(ctx context.Context, cfg atoms.Config) (*Report, error) {
+// emulate is one replay into rep: pooled when simulated on an unpinned
+// clock, fresh otherwise.
+func (r *Run) emulate(ctx context.Context, cfg atoms.Config, rep *Report) error {
 	if !r.opts.Real && r.opts.Clock == nil {
-		return r.emulateSim(ctx, cfg)
+		return r.emulateSim(ctx, cfg, rep)
 	}
+	return r.emulateFresh(ctx, cfg, rep)
+}
+
+// emulateFresh is one replay on a fresh atom set and a fresh clock (unless
+// the options pinned one), through the batched / serial / real replay
+// loop. It is split from emulate because the atoms keep &cfg: the config
+// escapes here, not on the pooled path.
+func (r *Run) emulateFresh(ctx context.Context, cfg atoms.Config, rep *Report) error {
 	var set []atoms.Atom
 	var err error
 	if r.opts.Real {
@@ -182,7 +191,7 @@ func (r *Run) emulate(ctx context.Context, cfg atoms.Config) (*Report, error) {
 		set, err = atoms.NewSimSet(&cfg)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	set = filterAtoms(set, r.opts)
 
@@ -198,16 +207,7 @@ func (r *Run) emulate(ctx context.Context, cfg atoms.Config) (*Report, error) {
 	if !r.opts.Real && r.startup > 0 {
 		clk.Sleep(r.startup)
 	}
-
-	rep := &Report{
-		Machine: cfg.Machine.Name,
-		Kernel:  cfg.Kernel,
-		Startup: r.startup,
-		busy:    make(map[string]time.Duration, len(set)),
-	}
-	if rep.Kernel == "" {
-		rep.Kernel = machine.KernelASM
-	}
+	r.begin(rep, &cfg)
 
 	var total time.Duration
 	switch {
@@ -219,7 +219,7 @@ func (r *Run) emulate(ctx context.Context, cfg atoms.Config) (*Report, error) {
 		total, err = replayBatched(ctx, set, r.p, &cfg, r.opts.TraceLevel, r.overhead, clk, rep, nil)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	rep.Tx = clk.Now().Sub(start)
@@ -228,5 +228,5 @@ func (r *Run) emulate(ctx context.Context, cfg atoms.Config) (*Report, error) {
 		// from parts to avoid clock granularity concerns.
 		rep.Tx = r.startup + total
 	}
-	return rep, nil
+	return nil
 }

@@ -35,42 +35,31 @@ type Job struct {
 // Load returns the job's effective load as a float64.
 func (j Job) Load() float64 { return math.Float64frombits(j.LoadBits) }
 
-// Outcome is the fold-relevant product of one replay job: everything the
-// report aggregation consumes, nothing else. It is the wire type of the
-// distributed worker protocol, chosen so that an outcome computed remotely
-// is bit-identical to one computed in process — durations are integer
+// Outcome is the one record a replay job becomes on its way to the fold:
+// exactly the fields report aggregation consumes. The local executor fills
+// outcomes in place; remote workers ship them as the distributed worker
+// protocol's wire type, chosen so that an outcome computed remotely is
+// bit-identical to one computed in process — durations are integer
 // nanoseconds and counters round-trip exactly through JSON — which is what
 // makes the merged report byte-identical to a single-process run.
 type Outcome struct {
 	// Tx is the instance's emulation (service) time.
 	Tx time.Duration `json:"tx"`
-	// Busy is the per-atom busy time, atoms with zero activity omitted.
-	Busy map[string]time.Duration `json:"busy,omitempty"`
+	// Busy is each atom's busy time, indexed like emulator.AtomNames
+	// (compute, memory, network, storage).
+	Busy [emulator.NumAtoms]time.Duration `json:"busy"`
 	// Consumed aggregates what the atoms consumed replaying the instance.
 	Consumed perfcount.Counters `json:"consumed"`
 }
 
-// outcomeOf condenses an emulator report into its fold-relevant outcome.
-func outcomeOf(r *emulator.Report) *Outcome {
-	o := &Outcome{Tx: r.Tx, Consumed: r.Consumed}
-	for _, a := range atomNames {
-		if b := r.BusyTime(a); b > 0 {
-			if o.Busy == nil {
-				o.Busy = make(map[string]time.Duration, len(atomNames))
-			}
-			o.Busy[a] = b
-		}
-	}
-	return o
-}
-
 // Executor resolves batches of replay jobs. Run calls it once with every
 // distinct job in eager (clusterless) mode, and once per scheduling instant
-// with that instant's fresh jobs in cluster mode. Outcomes come back in job
-// order. Implementations must be pure: the outcome of a job depends only on
-// the (spec, seed) pair both sides compiled, never on batching, timing or
-// which worker computed it — that invariance is the determinism contract
-// distributed execution is gated on.
+// with that instant's fresh jobs in cluster mode; jobs is only read during
+// the call. Outcomes come back in job order. Implementations must be pure:
+// the outcome of a job depends only on the (spec, seed) pair both sides
+// compiled, never on batching, timing or which worker computed it — that
+// invariance is the determinism contract distributed execution is gated
+// on.
 type Executor interface {
 	ExecuteJobs(ctx context.Context, jobs []Job) ([]*Outcome, error)
 }
@@ -79,9 +68,9 @@ type Executor interface {
 // deliver outcomes incrementally, in contiguous job-order batches, instead
 // of materializing the whole result slice. sink is called with the global
 // index of the batch's first outcome; batches arrive in order and
-// concatenate to exactly one outcome per job. Ownership of the outcomes
-// transfers to the sink — the executor must not touch them after sink
-// returns, which is what lets it release buffered results behind its fold
+// concatenate to exactly one outcome per job. The sink copies what it
+// keeps, so the executor may release or reuse the outcomes once it
+// returns — which is what lets it drop buffered results behind its fold
 // watermark and keep peak resident outcomes bounded by its window rather
 // than by the job count. The outcomes themselves are byte-identical to
 // what ExecuteJobs would return, so folding them incrementally leaves the
@@ -91,44 +80,81 @@ type StreamingExecutor interface {
 	ExecuteJobsStream(ctx context.Context, jobs []Job, sink func(first int, outs []*Outcome) error) error
 }
 
-// foldRec is the fold-relevant residue of one outcome: exactly the fields
-// assemble reads, flattened (no per-atom map) so a long run retains a
-// compact record per distinct job instead of the wire Outcome. The values
-// are copied verbatim — busy times in atomNames order, counters unchanged —
-// so folding records is byte-identical to folding the outcomes they came
-// from.
-type foldRec struct {
-	tx       time.Duration
-	busy     [len(atomNames)]time.Duration
-	consumed perfcount.Counters
-}
-
-// set condenses an outcome into the record.
-func (r *foldRec) set(o *Outcome) {
-	r.tx = o.Tx
-	for ai, a := range atomNames {
-		r.busy[ai] = o.Busy[a]
+// execute resolves jobs through exec into outs, one outcome per job in
+// job order, whichever face the executor offers: the local executor fills
+// outs in place, a streaming executor's batches and a plain executor's
+// result are copied in as they arrive. Every executor's shape contract is
+// checked here, and only here.
+func execute(ctx context.Context, exec Executor, jobs []Job, outs []Outcome) error {
+	if le, ok := exec.(localExecutor); ok {
+		return le.fill(ctx, jobs, outs)
 	}
-	r.consumed = o.Consumed
+	folded := 0
+	sink := func(first int, batch []*Outcome) error {
+		if first != folded {
+			return fmt.Errorf("scenario: executor returned a batch at job %d, fold watermark is %d", first, folded)
+		}
+		if first+len(batch) > len(jobs) {
+			return fmt.Errorf("scenario: executor returned %d outcomes for %d jobs", first+len(batch), len(jobs))
+		}
+		for k, o := range batch {
+			if o == nil {
+				return fmt.Errorf("scenario: executor returned nil outcome for job %d", first+k)
+			}
+			outs[first+k] = *o
+		}
+		folded += len(batch)
+		return nil
+	}
+	var err error
+	if se, ok := exec.(StreamingExecutor); ok {
+		err = se.ExecuteJobsStream(ctx, jobs, sink)
+	} else {
+		var got []*Outcome
+		if got, err = exec.ExecuteJobs(ctx, jobs); err == nil {
+			err = sink(0, got)
+		}
+	}
+	if err == nil && folded != len(jobs) {
+		err = fmt.Errorf("scenario: executor returned %d outcomes for %d jobs", folded, len(jobs))
+	}
+	return err
 }
 
 // localExecutor resolves jobs against this process's compiled run handles,
-// fanning the batch across the configured workers.
+// fanning each batch across workers (> 0) goroutines.
 type localExecutor struct {
 	c       *compiled
 	workers int
 }
 
+// ExecuteJobs implements Executor over one flat outcome slice.
 func (e localExecutor) ExecuteJobs(ctx context.Context, jobs []Job) ([]*Outcome, error) {
-	return exp.Fan(e.workers, len(jobs), nil, func(j int) (*Outcome, error) {
-		return e.executeJob(ctx, jobs[j])
-	})
+	outs := make([]Outcome, len(jobs))
+	if err := e.fill(ctx, jobs, outs); err != nil {
+		return nil, err
+	}
+	ptrs := make([]*Outcome, len(outs))
+	for i := range outs {
+		ptrs[i] = &outs[i]
+	}
+	return ptrs, nil
 }
 
-// executeJob resolves one job against the compiled run handles.
-func (e localExecutor) executeJob(ctx context.Context, job Job) (*Outcome, error) {
+// fill resolves jobs into outs across the fan-out. Each replay runs into a
+// stack-held report on its handle's pooled scratch, so the batch allocates
+// the same handful of objects whatever its size.
+func (e localExecutor) fill(ctx context.Context, jobs []Job, outs []Outcome) error {
+	_, err := exp.Fan(e.workers, len(jobs), nil, func(j int) (struct{}, error) {
+		return struct{}{}, e.executeJob(ctx, jobs[j], &outs[j])
+	})
+	return err
+}
+
+// executeJob resolves one job into out.
+func (e localExecutor) executeJob(ctx context.Context, job Job, out *Outcome) error {
 	if job.Workload < 0 || job.Workload >= len(e.c.wls) {
-		return nil, fmt.Errorf("scenario: job references workload %d of %d", job.Workload, len(e.c.wls))
+		return fmt.Errorf("scenario: job references workload %d of %d", job.Workload, len(e.c.wls))
 	}
 	ws := e.c.wls[job.Workload]
 	run := ws.run
@@ -136,14 +162,15 @@ func (e localExecutor) executeJob(ctx context.Context, job Job) (*Outcome, error
 		run = ws.runs[job.Machine]
 	}
 	if run == nil {
-		return nil, fmt.Errorf("scenario: workload %q has no emulation handle for machine %q",
+		return fmt.Errorf("scenario: workload %q has no emulation handle for machine %q",
 			ws.spec.Name, job.Machine)
 	}
-	rep, err := run.EmulateWithLoad(ctx, job.Load())
-	if err != nil {
-		return nil, err
+	var rep emulator.Report
+	if err := run.EmulateWithLoad(ctx, job.Load(), &rep); err != nil {
+		return err
 	}
-	return outcomeOf(rep), nil
+	*out = Outcome{Tx: rep.Tx, Busy: rep.Busy, Consumed: rep.Consumed}
+	return nil
 }
 
 // ResolveProfiles resolves every workload's profile reference through st,
@@ -168,13 +195,13 @@ func ResolveProfiles(ctx context.Context, spec *Spec, st store.Store) ([]*profil
 
 // JobRunner is the worker side of distributed execution: one spec compiled
 // against a store, holding reusable emulation handles for every machine an
-// instance could land on, ready to execute any shard's jobs. A runner built
-// from the same (spec, profiles) on any host produces bit-identical
+// instance could land on, ready to execute any shard's jobs. It is the
+// local executor Run uses, plus the seed and a streaming face. A runner
+// built from the same (spec, profiles) on any host produces bit-identical
 // outcomes, so a coordinator may hand the same job to any worker — or to a
 // replacement after a failure — without perturbing the merged report.
 type JobRunner struct {
-	c       *compiled
-	workers int
+	localExecutor
 }
 
 // NewJobRunner compiles spec against st (profiles must already be present)
@@ -191,21 +218,15 @@ func NewJobRunner(ctx context.Context, spec *Spec, st store.Store, workers int) 
 	if err != nil {
 		return nil, err
 	}
-	return &JobRunner{c: c, workers: workers}, nil
+	if workers <= 0 {
+		workers = defaultWorkers()
+	}
+	return &JobRunner{localExecutor{c: c, workers: workers}}, nil
 }
 
 // Seed returns the compiled spec's seed — the root every shard key derives
 // from, echoed in the worker protocol's determinism handshake.
 func (r *JobRunner) Seed() uint64 { return r.c.spec.Seed }
-
-// ExecuteJobs implements Executor against the runner's compiled handles.
-func (r *JobRunner) ExecuteJobs(ctx context.Context, jobs []Job) ([]*Outcome, error) {
-	workers := r.workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	return localExecutor{c: r.c, workers: workers}.ExecuteJobs(ctx, jobs)
-}
 
 // defaultStreamBatch is the emission granularity ExecuteJobsStream falls
 // back to when the caller passes none.
@@ -214,46 +235,38 @@ const defaultStreamBatch = 64
 // ExecuteJobsStream executes jobs across the runner's fan-out and emits
 // outcomes in job order as the contiguous prefix completes, at least batch
 // at a time (0 picks a default) except for the final flush. The jobs run in
-// parallel and complete out of order; a reorder buffer holds the gap and
-// emit observes only the in-order view, so a consumer can fold and discard
-// batches as they arrive. emit is never called concurrently. Outcomes are
-// released to the consumer: the runner drops its references as it emits.
+// parallel into one flat outcome slice and complete out of order; emit
+// observes only the in-order prefix, so a consumer can fold batches as
+// they arrive. emit is never called concurrently, and the outcomes it
+// receives are never written again.
 func (r *JobRunner) ExecuteJobsStream(ctx context.Context, jobs []Job, batch int, emit func(outs []*Outcome) error) error {
-	workers := r.workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
 	if batch <= 0 {
 		batch = defaultStreamBatch
 	}
-	local := localExecutor{c: r.c, workers: workers}
 	var (
 		mu   sync.Mutex
-		outs = make([]*Outcome, len(jobs)) // reorder buffer; entries nil once emitted
+		outs = make([]Outcome, len(jobs))
+		ptrs = make([]*Outcome, len(jobs)) // set once outs[j] is final
 		next int                           // emission watermark
 	)
-	_, err := exp.Fan(workers, len(jobs), nil, func(j int) (struct{}, error) {
-		o, err := local.executeJob(ctx, jobs[j])
-		if err != nil {
+	_, err := exp.Fan(r.workers, len(jobs), nil, func(j int) (struct{}, error) {
+		if err := r.executeJob(ctx, jobs[j], &outs[j]); err != nil {
 			return struct{}{}, err
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		outs[j] = o
+		ptrs[j] = &outs[j]
 		// Emit the contiguous prefix once it is a full batch deep. Holding
 		// mu serializes emit; the tail below flushes what remains.
 		end := next
-		for end < len(outs) && outs[end] != nil {
+		for end < len(ptrs) && ptrs[end] != nil {
 			end++
 		}
 		if end-next >= batch {
-			run := outs[next:end]
+			run := ptrs[next:end]
 			next = end
 			if err := emit(run); err != nil {
 				return struct{}{}, err
-			}
-			for i := range run {
-				run[i] = nil
 			}
 		}
 		return struct{}{}, nil
@@ -262,9 +275,7 @@ func (r *JobRunner) ExecuteJobsStream(ctx context.Context, jobs []Job, batch int
 		return err
 	}
 	if next < len(jobs) {
-		if err := emit(outs[next:]); err != nil {
-			return err
-		}
+		return emit(ptrs[next:])
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"synapse/internal/cluster"
+	"synapse/internal/emulator"
 	"synapse/internal/perfcount"
 	"synapse/internal/stats"
 )
@@ -131,9 +132,6 @@ type LatencySummary struct {
 	Max  Duration `json:"max"`
 }
 
-// atomNames are the emulation atoms a report can break busy time down by.
-var atomNames = [...]string{"compute", "memory", "network", "storage"}
-
 // reporter is the aggregation sink: it folds the scheduler's event stream
 // into the counters the report is built from. Order-sensitive aggregation
 // (latency sums, percentiles) happens in assemble, in deterministic
@@ -170,11 +168,11 @@ func (r *reporter) Observe(t time.Duration, ev any) {
 	}
 }
 
-// assemble folds the instance outcomes (condensed to foldRecs) into the
-// report, in spec order — every sum runs in deterministic instance order,
-// so reports are byte-identical across runs, worker counts, and executors
-// (records are keyed by instance, never by who computed them).
-func assemble(c *compiled, rp *reporter, recs []*foldRec) *Report {
+// assemble folds the instance outcomes into the report, in spec order —
+// every sum runs in deterministic instance order, so reports are
+// byte-identical across runs, worker counts, and executors (outcomes are
+// keyed by instance, never by who computed them).
+func assemble(c *compiled, rp *reporter, recs []*Outcome) *Report {
 	makespan := rp.makespan
 	rep := &Report{
 		Scenario:   c.spec.Name,
@@ -204,10 +202,7 @@ func assemble(c *compiled, rp *reporter, recs []*foldRec) *Report {
 		sojourn := scratch[:0:n]
 		wait := scratch[n : n : 2*n]
 		service := scratch[2*n : 2*n : 3*n]
-		// busy is indexed like atomNames; the map an earlier version built
-		// here was one allocation (plus hashing) per workload for four
-		// fixed keys.
-		var busy [len(atomNames)]time.Duration
+		var busy [emulator.NumAtoms]time.Duration
 		for _, id := range ws.insts {
 			in := c.insts[id]
 			if !in.ran {
@@ -218,10 +213,10 @@ func assemble(c *compiled, rp *reporter, recs []*foldRec) *Report {
 			wait = append(wait, float64(in.start-in.arrival))
 			service = append(service, float64(in.tx))
 			rec := recs[id]
-			for ai := range atomNames {
-				busy[ai] += rec.busy[ai]
+			for ai, b := range rec.Busy {
+				busy[ai] += b
 			}
-			wr.Consumed.Accumulate(&rec.consumed)
+			wr.Consumed.Accumulate(&rec.Consumed)
 		}
 		if secs := makespan.Seconds(); secs > 0 {
 			wr.Throughput = float64(wr.Emulations) / secs
@@ -233,12 +228,12 @@ func assemble(c *compiled, rp *reporter, recs []*foldRec) *Report {
 		wr.Latency = summarize(sojourn)
 		wr.Wait = summarize(wait)
 		wr.Service = summarize(service)
-		for ai, a := range atomNames {
+		// AtomNames is in name order, so the breakdown comes out sorted.
+		for ai, a := range emulator.AtomNames {
 			if busy[ai] > 0 {
 				wr.BusyTime = append(wr.BusyTime, AtomBusy{Atom: a, Busy: Duration(busy[ai])})
 			}
 		}
-		sort.Slice(wr.BusyTime, func(i, j int) bool { return wr.BusyTime[i].Atom < wr.BusyTime[j].Atom })
 		rep.Dropped += ws.dropped
 		rep.Workloads = append(rep.Workloads, wr)
 	}

@@ -76,22 +76,11 @@ type jobKey struct {
 	load    uint64 // Float64bits of the (effective) load
 }
 
+// outcomeChunk is the cluster-mode outcome arena's chunk size.
+const outcomeChunk = 256
+
 // defaultWorkers is the fan-out Run and JobRunner use when none is set.
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// checkOuts verifies an executor honored its contract shape-wise: one
-// non-nil outcome per job, in order.
-func checkOuts(jobs []Job, outs []*Outcome) error {
-	if len(outs) != len(jobs) {
-		return fmt.Errorf("scenario: executor returned %d outcomes for %d jobs", len(outs), len(jobs))
-	}
-	for i, o := range outs {
-		if o == nil {
-			return fmt.Errorf("scenario: executor returned nil outcome for job %d", i)
-		}
-	}
-	return nil
-}
 
 // Run executes the scenario: profiles resolve through st, every instance
 // emulates on the batched replay engine across opts.Workers goroutines, and
@@ -130,13 +119,12 @@ func Run(ctx context.Context, spec *Spec, st store.Store, opts RunOptions) (*Rep
 	// the scheduler resolves each instant's placements as a batch, fanned
 	// across the workers, memoized on (workload, node machine, load).
 	//
-	// Either way, each distinct job's outcome is condensed into a compact
-	// foldRec the moment it arrives — the wire Outcome (and, through the
-	// StreamingExecutor seam, the executor's own buffers) is released long
-	// before the fold, so a run retains one flat record per replay, not
-	// one decoded response per shard.
-	recs := make([]*foldRec, len(c.insts))
-	memo := make(map[jobKey]*foldRec)
+	// Either way, each distinct job's outcome lands in a flat Outcome slot
+	// the moment it arrives — the executor's own buffers (a coordinator's
+	// streamed batches, say) are released long before the fold — and every
+	// instance points at its job's slot.
+	recs := make([]*Outcome, len(c.insts))
+	memo := make(map[jobKey]*Outcome)
 	replays := 0
 	var resolve resolver
 	if c.cl == nil {
@@ -153,62 +141,29 @@ func Run(ctx context.Context, spec *Spec, st store.Store, opts RunOptions) (*Rep
 			}
 			jobIdx[i] = j
 		}
-		jobRecs := make([]foldRec, len(jobs))
-		if se, ok := exec.(StreamingExecutor); ok {
-			// Streaming fold: contiguous job-order batches arrive as the
-			// executor completes them; each is folded to records in place
-			// and the outcomes dropped, so peak resident outcomes follow
-			// the executor's window, not the job count.
-			folded := 0
-			err := se.ExecuteJobsStream(ctx, jobs, func(first int, outs []*Outcome) error {
-				if first != folded {
-					return fmt.Errorf("scenario: executor streamed batch at %d, fold watermark is %d", first, folded)
-				}
-				if first+len(outs) > len(jobs) {
-					return fmt.Errorf("scenario: executor streamed %d outcomes past %d jobs", first+len(outs), len(jobs))
-				}
-				for k, o := range outs {
-					if o == nil {
-						return fmt.Errorf("scenario: executor streamed nil outcome for job %d", first+k)
-					}
-					jobRecs[first+k].set(o)
-				}
-				folded += len(outs)
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			if folded != len(jobs) {
-				return nil, fmt.Errorf("scenario: executor streamed %d outcomes for %d jobs", folded, len(jobs))
-			}
-		} else {
-			jobOuts, err := exec.ExecuteJobs(ctx, jobs)
-			if err != nil {
-				return nil, err
-			}
-			if err := checkOuts(jobs, jobOuts); err != nil {
-				return nil, err
-			}
-			for j, o := range jobOuts {
-				jobRecs[j].set(o)
-			}
+		outs := make([]Outcome, len(jobs))
+		if err := execute(ctx, exec, jobs, outs); err != nil {
+			return nil, err
 		}
 		for i := range c.insts {
-			recs[i] = &jobRecs[jobIdx[i]]
-			c.insts[i].tx = recs[i].tx
+			recs[i] = &outs[jobIdx[i]]
+			c.insts[i].tx = recs[i].Tx
 		}
 		replays = len(jobs)
 	} else {
 		key := func(in *instance) jobKey {
 			return jobKey{w: in.w, machine: c.cl.MachineName(in.node), load: math.Float64bits(in.eff)}
 		}
+		// Per-instant scratch, and the arena memoized outcomes are carved
+		// from: fixed chunks keep their addresses stable without one
+		// allocation per instant.
+		var keys []jobKey
+		var jobs []Job
+		var arena []Outcome
 		resolve = func(placed []int) error {
-			var keys []jobKey
-			var jobs []Job
+			keys, jobs = keys[:0], jobs[:0]
 			for _, id := range placed {
-				in := c.insts[id]
-				k := key(in)
+				k := key(c.insts[id])
 				if _, ok := memo[k]; ok {
 					continue
 				}
@@ -216,17 +171,16 @@ func Run(ctx context.Context, spec *Spec, st store.Store, opts RunOptions) (*Rep
 				keys = append(keys, k)
 				jobs = append(jobs, Job{Workload: k.w, Machine: k.machine, LoadBits: k.load})
 			}
-			if len(jobs) > 0 {
-				reps, err := exec.ExecuteJobs(ctx, jobs)
-				if err != nil {
+			if n := len(jobs); n > 0 {
+				if cap(arena)-len(arena) < n {
+					arena = make([]Outcome, 0, max(outcomeChunk, n))
+				}
+				batch := arena[len(arena) : len(arena)+n]
+				arena = arena[:len(arena)+n]
+				if err := execute(ctx, exec, jobs, batch); err != nil {
 					return err
 				}
-				if err := checkOuts(jobs, reps); err != nil {
-					return err
-				}
-				batch := make([]foldRec, len(jobs))
 				for j, k := range keys {
-					batch[j].set(reps[j])
 					memo[k] = &batch[j]
 				}
 			}
@@ -234,7 +188,7 @@ func Run(ctx context.Context, spec *Spec, st store.Store, opts RunOptions) (*Rep
 				in := c.insts[id]
 				rec := memo[key(in)]
 				recs[id] = rec
-				in.tx = rec.tx
+				in.tx = rec.Tx
 			}
 			return nil
 		}
