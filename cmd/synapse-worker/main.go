@@ -15,10 +15,10 @@
 // functions of the compiled (spec, profiles) — any worker can serve any
 // chunk of any shard, any number of times (the coordinator speculatively
 // re-executes straggler chunks), and the coordinator's merged report is
-// byte-identical to a single-process run. Execute requests get chunked
-// NDJSON responses, -stream-batch outcomes per line. /v1/healthz reports
-// liveness plus the admission counters, GET /v1/metrics renders Prometheus text exposition (RED
-// middleware plus worker series), and the daemon sheds new shards and
+// byte-identical to a single-process run. Execute requests get NDJSON
+// responses, 64 outcomes per line. /v1/healthz reports liveness plus the
+// admission counters, GET /v1/metrics renders Prometheus text exposition
+// (RED middleware plus worker series), and the daemon sheds new shards and
 // drains in-flight ones on SIGINT/SIGTERM. See docs/distributed.md.
 package main
 
@@ -59,7 +59,6 @@ func run(args []string, ready chan<- string) error {
 	maxInflight := fs.Int("max-inflight", 0, "max concurrently-executing requests (0 = unbounded)")
 	queue := fs.Int("queue", 0, "admission queue depth at capacity (0 = shed)")
 	requestTimeout := fs.Duration("request-timeout", 0, "server-side per-request deadline (0 = none)")
-	streamBatch := fs.Int("stream-batch", 0, "outcomes per NDJSON line on execute responses (0 = 64)")
 	pprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	grace := fs.Duration("grace", 10*time.Second, "graceful shutdown drain timeout")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
@@ -92,7 +91,6 @@ func run(args []string, ready chan<- string) error {
 		Config:      svc,
 		Workers:     *workers,
 		MaxSessions: *maxSessions,
-		StreamBatch: *streamBatch,
 	})
 	bound, err := srv.Start(*addr)
 	if err != nil {

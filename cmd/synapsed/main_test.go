@@ -142,7 +142,7 @@ func TestOverloadFlagsWired(t *testing.T) {
 	}
 
 	// Writes shed in read-only mode; reads pass.
-	c := storeclnt.New(base, storeclnt.WithRetries(0))
+	c := storeclnt.New(base)
 	if err := c.Put(storetest.MkProfile("denied", nil, 2)); err == nil {
 		t.Error("write to a read-only daemon succeeded")
 	}

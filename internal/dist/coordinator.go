@@ -27,10 +27,10 @@ const (
 	defaultChunkSize = 256
 	defaultWindow    = 4096
 
-	// The straggler threshold adapts to observed chunk latency, like
-	// storeclnt's request hedge: a ring of recent successful attempt
-	// durations, speculation at stealFactor × p95 (never below stealFloor),
-	// and a fixed default until the ring has latWarmup samples.
+	// The straggler threshold adapts to observed chunk latency: a ring of
+	// recent successful attempt durations, speculation at stealFactor × p95
+	// (never below stealFloor), and a fixed default until the ring has
+	// latWarmup samples.
 	latWindow         = 64
 	latWarmup         = 16
 	stealFactor       = 2
@@ -165,6 +165,9 @@ type Coordinator struct {
 	// execMu serializes dispatches: the scratch below has one owner.
 	execMu  sync.Mutex
 	scratch dispatchScratch
+	// lastFailure is the error that killed the most recently failed
+	// worker, reported once the whole fleet is dead. Guarded by execMu.
+	lastFailure error
 
 	// lat is the chunk-latency ring behind the adaptive steal threshold.
 	latMu  sync.Mutex
@@ -348,10 +351,12 @@ func (co *Coordinator) live() []*workerState {
 	return out
 }
 
-// markDead retires a worker after its retry policy exhausted.
+// markDead retires a worker after its retry policy exhausted. It runs in
+// the dispatch loop, under execMu.
 func (co *Coordinator) markDead(ws *workerState, err error) {
 	if ws.dead.CompareAndSwap(false, true) {
 		co.failures.Add(1)
+		co.lastFailure = fmt.Errorf("worker %s: %w", ws.w.Name(), err)
 		co.log.Warn("worker failed; reassigning its chunks",
 			slog.String("worker", ws.w.Name()), slog.String("error", err.Error()))
 	}
@@ -795,7 +800,8 @@ func (co *Coordinator) ExecuteJobsStream(ctx context.Context, jobs []scenario.Jo
 			if chunksDone == len(sc.chunks) {
 				break
 			}
-			return fmt.Errorf("%w: %d chunks unexecuted", ErrNoWorkers, len(sc.chunks)-chunksDone)
+			return fmt.Errorf("%w: %d chunks unexecuted; last failure: %v",
+				ErrNoWorkers, len(sc.chunks)-chunksDone, co.lastFailure)
 		}
 		// Wait for a completion; with spare workers and speculation armed,
 		// also wake when the oldest in-flight chunk crosses the threshold.
@@ -841,10 +847,10 @@ func (co *Coordinator) ExecuteJobs(ctx context.Context, jobs []scenario.Job) ([]
 
 // executeChunk runs one chunk attempt on one worker under the retry
 // policy, compiling the session on first contact (or after the worker lost
-// it). Workers stream their outcomes incrementally; the batches are
-// gathered here because commit is all-or-nothing per attempt — the
-// first-complete-wins race and the byte-equality check both need the
-// chunk's result whole.
+// it). A worker's outcome lines are gathered here because commit is
+// all-or-nothing per attempt — the first-complete-wins race and the
+// byte-equality check both need the chunk's result whole; the fold
+// advances per committed chunk.
 func (co *Coordinator) executeChunk(ctx context.Context, ws *workerState, c *chunkState, speculative bool) ([]*scenario.Outcome, error) {
 	req := &ExecuteRequest{
 		Session:     co.creq.Session,

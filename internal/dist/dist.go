@@ -98,10 +98,10 @@ type ExecuteRequest struct {
 }
 
 // StreamChunk is one NDJSON line of an execute response. Outcome lines
-// carry contiguous job-order batches; the terminal line has either
-// Done set (with N echoing the total streamed, a truncation check) or an
-// in-band structured error — failures can surface after the 200 status is
-// already on the wire.
+// carry contiguous job-order batches; the terminal line has either Done set
+// (with N echoing the total streamed, a truncation check) or an in-band
+// structured error, which WorkerServer never sends (a failed chunk gets an
+// error status) but HTTPWorker still honors.
 type StreamChunk struct {
 	Outcomes []*scenario.Outcome `json:"outcomes,omitempty"`
 	Done     bool                `json:"done,omitempty"`

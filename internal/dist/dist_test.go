@@ -211,20 +211,20 @@ func TestSessionsExecuteValidation(t *testing.T) {
 	ss := newSessions(0)
 	ctx := context.Background()
 	none := func([]*scenario.Outcome) error { return nil }
-	if err := ss.executeStream(ctx, &ExecuteRequest{Session: "nope"}, 0, none); !errors.Is(err, ErrNoSession) {
+	if err := ss.executeStream(ctx, &ExecuteRequest{Session: "nope"}, none); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("unknown session: %v, want ErrNoSession", err)
 	}
 	if _, err := ss.compile(ctx, &CompileRequest{Session: "s", Spec: spec, Profiles: profs, Shards: 4}, 1); err != nil {
 		t.Fatal(err)
 	}
 	keys := ShardKeys(spec.Seed, 4)
-	if err := ss.executeStream(ctx, &ExecuteRequest{Session: "s", Shard: -1, ShardKey: keys[0]}, 0, none); !errors.Is(err, ErrInvalid) {
+	if err := ss.executeStream(ctx, &ExecuteRequest{Session: "s", Shard: -1, ShardKey: keys[0]}, none); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("negative shard: %v, want ErrInvalid", err)
 	}
-	if err := ss.executeStream(ctx, &ExecuteRequest{Session: "s", Shard: 1, ShardKey: keys[0]}, 0, none); !errors.Is(err, ErrShardKey) {
+	if err := ss.executeStream(ctx, &ExecuteRequest{Session: "s", Shard: 1, ShardKey: keys[0]}, none); !errors.Is(err, ErrShardKey) {
 		t.Fatalf("mismatched shard key: %v, want ErrShardKey", err)
 	}
-	if err := ss.executeStream(ctx, &ExecuteRequest{Session: "s", Shard: 1, ShardKey: keys[1]}, 0, none); err != nil {
+	if err := ss.executeStream(ctx, &ExecuteRequest{Session: "s", Shard: 1, ShardKey: keys[1]}, none); err != nil {
 		t.Fatalf("well-formed empty shard: %v", err)
 	}
 }

@@ -30,6 +30,9 @@ const (
 	maxExecuteBody = 4 * store.MaxDocSize
 )
 
+// outcomesPerLine is the outcome count of each NDJSON execute response line.
+const outcomesPerLine = 64
+
 // HealthResponse is the /v1/healthz body.
 type HealthResponse struct {
 	Status   string `json:"status"` // "ok" or "draining"
@@ -46,9 +49,6 @@ type ServerConfig struct {
 	// MaxSessions bounds held compile sessions; the oldest is evicted
 	// past the cap (0 = 4). Coordinators recover via no_session.
 	MaxSessions int
-	// StreamBatch is the outcome-batch granularity of execute responses —
-	// one NDJSON line per about this many outcomes (0 = 64).
-	StreamBatch int
 }
 
 // WorkerServer serves the worker protocol over HTTP:
@@ -70,15 +70,12 @@ type WorkerServer struct {
 	jobsRun   *telemetry.Counter
 	chunksRun *telemetry.Counter
 	specRun   *telemetry.Counter
-
-	streamBatch int
 }
 
 // NewServer builds a worker server around an in-process worker core.
 func NewServer(cfg ServerConfig) *WorkerServer {
 	s := &WorkerServer{
-		local:       &LocalWorker{name: "server", workers: cfg.Workers, sessions: newSessions(cfg.MaxSessions)},
-		streamBatch: cfg.StreamBatch,
+		local: &LocalWorker{name: "server", workers: cfg.Workers, sessions: newSessions(cfg.MaxSessions)},
 	}
 	s.Server = httpsvc.New("dist", cfg.Config, s.handleHealthz)
 	reg := s.Metrics()
@@ -96,15 +93,15 @@ func NewServer(cfg ServerConfig) *WorkerServer {
 	return s
 }
 
-// codeOf maps a worker error onto its structured code — the same mapping
-// whether the code travels in an error status or an in-band stream line.
+// codeOf maps a worker error onto its structured code. A job the session
+// cannot resolve is the request's fault, like any other invalid request.
 func codeOf(err error) string {
 	switch {
 	case errors.Is(err, ErrNoSession):
 		return CodeNoSession
 	case errors.Is(err, ErrShardKey):
 		return CodeShardKey
-	case errors.Is(err, ErrInvalid):
+	case errors.Is(err, ErrInvalid), errors.Is(err, scenario.ErrInvalidJob):
 		return httpsvc.CodeInvalid
 	}
 	return httpsvc.CodeInternal
@@ -147,9 +144,6 @@ func (s *WorkerServer) handleExecute(w http.ResponseWriter, r *http.Request) {
 	if !httpsvc.DecodeJSON(w, r, maxExecuteBody, &req) {
 		return
 	}
-	// Validate before producing anything: session and shard-key failures
-	// must surface as proper statuses even on the streaming path, where
-	// mid-run errors can only travel in-band.
 	sess, err := s.local.sessions.lookup(&req)
 	if err != nil {
 		writeError(w, r, err)
@@ -159,30 +153,24 @@ func (s *WorkerServer) handleExecute(w http.ResponseWriter, r *http.Request) {
 	if req.Speculative {
 		s.specRun.Inc()
 	}
-	// One NDJSON StreamChunk line per outcome batch, flushed as the
-	// runner's reorder buffer releases the contiguous prefix, then a
-	// terminal done (or in-band error) line.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	streamed := 0
-	err = sess.runner.ExecuteJobsStream(r.Context(), req.Jobs, s.streamBatch, func(outs []*scenario.Outcome) error {
-		if err := enc.Encode(StreamChunk{Outcomes: outs}); err != nil {
-			return err
-		}
-		streamed += len(outs)
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	})
+	// The chunk runs whole before the status goes out, so every failure
+	// is a real HTTP status. The outcomes then go out as NDJSON lines of
+	// outcomesPerLine each and a terminal done line.
+	outs, err := sess.runner.ExecuteJobs(r.Context(), req.Jobs)
 	if err != nil {
-		_ = enc.Encode(StreamChunk{Error: err.Error(), Code: codeOf(err)})
+		writeError(w, r, err)
 		return
 	}
-	s.jobsRun.Add(int64(len(req.Jobs)))
-	_ = enc.Encode(StreamChunk{Done: true, N: streamed})
+	s.jobsRun.Add(int64(len(outs)))
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	enc := json.NewEncoder(w)
+	for a := 0; a < len(outs); a += outcomesPerLine {
+		if err := enc.Encode(StreamChunk{Outcomes: outs[a:min(a+outcomesPerLine, len(outs))]}); err != nil {
+			return
+		}
+	}
+	_ = enc.Encode(StreamChunk{Done: true, N: len(outs)})
 }
 
 func (s *WorkerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -1,10 +1,12 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -33,10 +35,10 @@ func shardJobs(tb testing.TB, keys []uint64, shard, n int) []scenario.Job {
 	return jobs
 }
 
-// TestHTTPStreamingExecute pins the NDJSON wire path: an execute against a
-// real daemon arrives as multiple outcome lines plus a terminal done line,
-// and the concatenated batches are exactly what the same chunk yields in
-// process.
+// TestHTTPStreamingExecute pins the NDJSON wire path: a 150-job chunk
+// executed against a real daemon arrives as outcome lines of 64, 64 and 22
+// plus a terminal done line, and the concatenated lines are exactly what
+// the same chunk yields in process.
 func TestHTTPStreamingExecute(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	st := seedStore(t, "mdsim", "sleep")
@@ -45,9 +47,7 @@ func TestHTTPStreamingExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One emulation worker makes the runner serial, so the stream's batch
-	// boundaries are deterministic: 6 jobs at 2 per line = 3 lines.
-	_, base := startServer(t, ServerConfig{Workers: 1, StreamBatch: 2})
+	_, base := startServer(t, ServerConfig{Workers: 2})
 	w := NewHTTPWorker(base, nil)
 	ctx := context.Background()
 	creq := &CompileRequest{Session: "s", Spec: spec, Profiles: profs, Shards: 2}
@@ -55,7 +55,7 @@ func TestHTTPStreamingExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := ShardKeys(spec.Seed, 2)
-	req := &ExecuteRequest{Session: "s", Shard: 0, ShardKey: keys[0], Jobs: shardJobs(t, keys, 0, 6)}
+	req := &ExecuteRequest{Session: "s", Shard: 0, ShardKey: keys[0], Jobs: shardJobs(t, keys, 0, 150)}
 
 	local := NewLocalWorker("local", 1)
 	if err := local.Compile(ctx, creq); err != nil {
@@ -69,22 +69,37 @@ func TestHTTPStreamingExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []*scenario.Outcome
-	batches := 0
+	var lines []int
 	err = w.ExecuteStream(ctx, req, func(outs []*scenario.Outcome) error {
-		batches++
+		lines = append(lines, len(outs))
 		got = append(got, outs...)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batches != 3 {
-		t.Errorf("stream arrived in %d batches, want 3 (6 jobs, 2 per line)", batches)
+	if !reflect.DeepEqual(lines, []int{64, 64, 22}) {
+		t.Errorf("stream arrived in outcome lines of %v, want [64 64 22]", lines)
 	}
 	a, _ := json.Marshal(want)
 	b, _ := json.Marshal(got)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("streamed outcomes differ from in-process execution\nwire:       %s\nin process: %s", b, a)
+	}
+	// The raw body ends in the done line, counting every outcome.
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(base+"/v1/execute", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawLines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if n := len(rawLines); n != 4 || rawLines[n-1] != `{"done":true,"n":150}` {
+		t.Errorf("execute body has %d lines ending %q, want 4 ending in the done line", n, rawLines[n-1])
 	}
 	// Execute is the same stream, collected.
 	collected, err := w.Execute(ctx, req)
@@ -95,15 +110,23 @@ func TestHTTPStreamingExecute(t *testing.T) {
 		t.Errorf("collected outcomes differ from in-process execution\nwire:       %s\nin process: %s", c, a)
 	}
 
-	// Pre-stream validation failures must come back as proper statuses with
-	// sentinel codes.
-	err = w.ExecuteStream(ctx, &ExecuteRequest{Session: "ghost"}, func([]*scenario.Outcome) error { return nil })
+	// Failures come back as proper statuses with sentinel codes: before
+	// the chunk runs (session, shard key) and while it runs (a job the
+	// session cannot resolve is invalid, not a transient worker fault).
+	none := func([]*scenario.Outcome) error { return nil }
+	err = w.ExecuteStream(ctx, &ExecuteRequest{Session: "ghost"}, none)
 	if !errors.Is(err, ErrNoSession) {
 		t.Errorf("unknown session over stream: %v, want ErrNoSession", err)
 	}
-	err = w.ExecuteStream(ctx, &ExecuteRequest{Session: "s", Shard: 0, ShardKey: keys[0] ^ 1}, func([]*scenario.Outcome) error { return nil })
+	err = w.ExecuteStream(ctx, &ExecuteRequest{Session: "s", Shard: 0, ShardKey: keys[0] ^ 1}, none)
 	if !errors.Is(err, ErrShardKey) {
 		t.Errorf("mismatched shard key over stream: %v, want ErrShardKey", err)
+	}
+	for _, job := range []scenario.Job{{Workload: 99}, {Workload: 0, Machine: "nowhere"}} {
+		err = w.ExecuteStream(ctx, &ExecuteRequest{Session: "s", Shard: 0, ShardKey: keys[0], Jobs: []scenario.Job{job}}, none)
+		if !errors.Is(err, ErrInvalid) {
+			t.Errorf("malformed job %+v over stream: %v, want ErrInvalid", job, err)
+		}
 	}
 }
 
@@ -193,8 +216,12 @@ func TestDistRejectsMapFormOutcomes(t *testing.T) {
 	if err == nil || rep != nil {
 		t.Fatalf("map-form outcomes folded: report %v, err %v; want an error and no report", rep != nil, err)
 	}
-	// Each decode failure marks the worker dead, like any failed chunk.
+	// Each decode failure marks the worker dead, like any failed chunk,
+	// and the fleet-dead error carries that cause.
 	if !errors.Is(err, ErrNoWorkers) {
 		t.Errorf("err = %v, want ErrNoWorkers", err)
+	}
+	if !strings.Contains(err.Error(), "decode stream") || !strings.Contains(err.Error(), "busy") {
+		t.Errorf("err = %v, want it to name the busy-array decode failure", err)
 	}
 }

@@ -22,8 +22,8 @@ type Worker interface {
 	// Compile builds (or rebuilds — it is idempotent) the session.
 	Compile(ctx context.Context, req *CompileRequest) error
 	// ExecuteStream resolves one chunk's jobs, handing the outcomes to emit
-	// in contiguous job-order batches as they complete; emit is called
-	// serially and its batches concatenate to one outcome per job.
+	// in contiguous job-order batches; emit is called serially and its
+	// batches concatenate to one outcome per job.
 	// ErrNoSession means the worker lost the session (restart/eviction);
 	// the coordinator recompiles and retries.
 	ExecuteStream(ctx context.Context, req *ExecuteRequest, emit func(outs []*scenario.Outcome) error) error
@@ -131,14 +131,17 @@ func (ss *sessions) lookup(req *ExecuteRequest) (*session, error) {
 	return s, nil
 }
 
-// executeStream runs one chunk, emitting outcomes in contiguous job-order
-// batches of about batch as the runner's fan-out completes them.
-func (ss *sessions) executeStream(ctx context.Context, req *ExecuteRequest, batch int, emit func(outs []*scenario.Outcome) error) error {
+// executeStream runs one chunk and emits its outcomes as one batch.
+func (ss *sessions) executeStream(ctx context.Context, req *ExecuteRequest, emit func(outs []*scenario.Outcome) error) error {
 	s, err := ss.lookup(req)
 	if err != nil {
 		return err
 	}
-	return s.runner.ExecuteJobsStream(ctx, req.Jobs, batch, emit)
+	outs, err := s.runner.ExecuteJobs(ctx, req.Jobs)
+	if err != nil {
+		return err
+	}
+	return emit(outs)
 }
 
 // LocalWorker executes shards in process: the worker protocol with the
@@ -165,8 +168,8 @@ func (w *LocalWorker) Compile(ctx context.Context, req *CompileRequest) error {
 	return err
 }
 
-// ExecuteStream implements Worker: the transport-free path, emitting
-// straight from the runner's reorder buffer.
+// ExecuteStream implements Worker: the transport-free path, emitting the
+// chunk's outcomes once.
 func (w *LocalWorker) ExecuteStream(ctx context.Context, req *ExecuteRequest, emit func(outs []*scenario.Outcome) error) error {
-	return w.sessions.executeStream(ctx, req, 0, emit)
+	return w.sessions.executeStream(ctx, req, emit)
 }

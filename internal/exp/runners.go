@@ -40,9 +40,13 @@ func runCells[R any](cfg Config, n int, fn func(i int) (R, error)) ([]R, error) 
 // Fan is the work-stealing runner behind runCells, exported so other drivers
 // (the scenario engine's emulation fan-out) reuse it: fn runs over [0, n)
 // across at most workers goroutines (workers <= 1 runs serially), results
-// land in input order, the first error by index wins. budget, when non-nil,
-// is a shared token channel bounding concurrently-executing cells across
-// cooperating fan-outs; fn must not fan out further while holding a token.
+// land in input order, the first error by index wins. After a failure no
+// worker claims a new index: the cursor is monotonic, so every index below
+// the failed one was already claimed and runs to completion, and the first
+// error by index is the one a full run would have returned. budget, when
+// non-nil, is a shared token channel bounding concurrently-executing cells
+// across cooperating fan-outs; fn must not fan out further while holding a
+// token.
 func Fan[R any](workers, n int, budget chan struct{}, fn func(i int) (R, error)) ([]R, error) {
 	out := make([]R, n)
 	if n == 0 {
@@ -66,12 +70,13 @@ func Fan[R any](workers, n int, budget chan struct{}, fn func(i int) (R, error))
 	}
 	errs := make([]error, n)
 	var cursor atomic.Int64
+	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for !failed.Load() {
 				i := int(cursor.Add(1)) - 1
 				if i >= n {
 					return
@@ -82,6 +87,9 @@ func Fan[R any](workers, n int, budget chan struct{}, fn func(i int) (R, error))
 				out[i], errs[i] = fn(i)
 				if budget != nil {
 					<-budget
+				}
+				if errs[i] != nil {
+					failed.Store(true)
 				}
 			}
 		}()

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunCellsOrderAndStealing(t *testing.T) {
@@ -35,6 +36,31 @@ func TestRunCellsFirstErrorByIndex(t *testing.T) {
 	})
 	if !errors.Is(err, boom3) {
 		t.Fatalf("err = %v, want the lowest-index error (what a serial run returns)", err)
+	}
+}
+
+// TestFanStopsAfterFirstError: once a cell fails, no worker claims a new
+// index, so a batch whose first cell fails does not run the rest.
+func TestFanStopsAfterFirstError(t *testing.T) {
+	const n = 1000
+	boom := errors.New("cell 0")
+	zeroDone := make(chan struct{})
+	var calls atomic.Int64
+	_, err := Fan(2, n, nil, func(i int) (int, error) {
+		calls.Add(1)
+		if i == 0 {
+			close(zeroDone)
+			return 0, boom
+		}
+		<-zeroDone
+		time.Sleep(50 * time.Microsecond)
+		return i, nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want cell 0's error", err)
+	}
+	if c := calls.Load(); c >= n/10 {
+		t.Fatalf("fn ran %d of %d times after cell 0 failed, want far fewer", c, n)
 	}
 }
 

@@ -2,9 +2,8 @@
 // service path. It exists so every wire client retries the same way —
 // exponential backoff with *full jitter* (each delay is drawn uniformly from
 // [0, cap], so a fleet of clients that fail together does not retry
-// together), per-attempt and overall context deadlines, server-provided
-// Retry-After hints, and a token-bucket retry budget that stops a fleet from
-// amplifying an outage with synchronized retry storms.
+// together), per-attempt and overall context deadlines, and server-provided
+// Retry-After hints.
 //
 // The zero Policy is not useful; start from Default() and override fields.
 // Errors decide their own fate through the Classifier: Transient errors are
@@ -35,8 +34,8 @@ const (
 // every error as Transient.
 type Classifier func(error) Class
 
-// Policy describes one retry discipline. Copy-by-value is fine; the only
-// shared state is the optional *Budget.
+// Policy describes one retry discipline. It holds no shared state, so
+// copy-by-value is fine.
 type Policy struct {
 	// Attempts is the total number of tries, including the first
 	// (Attempts <= 1 means no retries).
@@ -54,10 +53,6 @@ type Policy struct {
 	PerAttempt time.Duration
 	// Classify decides which errors retry. Nil retries everything.
 	Classify Classifier
-	// Budget, when set, is consulted before every retry (never before the
-	// first attempt): if the shared bucket is empty the loop stops with
-	// ErrBudgetExhausted instead of piling on a struggling server.
-	Budget *Budget
 
 	// Rand returns a uniform float64 in [0, 1). Nil uses a process-wide
 	// seeded source; tests inject a deterministic one.
@@ -78,9 +73,6 @@ func Default() Policy {
 		PerAttempt: 10 * time.Second,
 	}
 }
-
-// ErrBudgetExhausted reports a retry suppressed by an empty budget.
-var ErrBudgetExhausted = errors.New("retry: budget exhausted")
 
 // Error is returned when every attempt failed; it unwraps to the last
 // attempt's error so sentinel checks (errors.Is) see through it.
@@ -181,9 +173,9 @@ func (p Policy) backoff(i int, err error) time.Duration {
 	return d
 }
 
-// Do runs op until it succeeds, a Terminal error occurs, the attempt budget
-// or retry budget is exhausted, or ctx expires. op receives a context that
-// carries the per-attempt deadline (if configured) on top of ctx.
+// Do runs op until it succeeds, a Terminal error occurs, the attempts are
+// exhausted, or ctx expires. op receives a context that carries the
+// per-attempt deadline (if configured) on top of ctx.
 func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) error {
 	attempts := p.Attempts
 	if attempts < 1 {
@@ -193,9 +185,6 @@ func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) erro
 	sleep := p.Sleep
 	if sleep == nil {
 		sleep = defaultSleep
-	}
-	if p.Budget != nil {
-		p.Budget.Track()
 	}
 	var last error
 	for i := 0; i < attempts; i++ {
@@ -221,12 +210,9 @@ func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) erro
 		if i == attempts-1 {
 			break
 		}
-		if p.Budget != nil && !p.Budget.Spend() {
-			return &Error{Attempts: i + 1, Last: fmt.Errorf("%w (last error: %v)", ErrBudgetExhausted, last)}
-		}
 		d := p.backoff(i, err)
 		// Don't sleep past the caller's deadline: fail now with the real
-		// error instead of burning the remaining budget waiting.
+		// error instead of burning the remaining time waiting.
 		if dl, ok := ctx.Deadline(); ok && time.Now().Add(d).After(dl) {
 			return &Error{Attempts: i + 1, Last: last}
 		}

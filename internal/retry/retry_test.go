@@ -143,32 +143,6 @@ func TestPerAttemptDeadline(t *testing.T) {
 	}
 }
 
-func TestBudgetSuppressesRetries(t *testing.T) {
-	b := NewBudget(1, 0.25)
-	p := Default()
-	p.Attempts = 5
-	p.Budget = b
-	p.Sleep = (&recorder{}).sleep
-	p.Rand = seeded(3)
-	calls := 0
-	err := p.Do(context.Background(), func(context.Context) error { calls++; return errors.New("transient") })
-	// The bucket held ~1.1 tokens: exactly one retry fires, then the budget
-	// stops the loop.
-	if calls != 2 {
-		t.Fatalf("calls = %d, want 2 (one retry allowed by the budget)", calls)
-	}
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
-	}
-	// Tracked traffic refills the bucket.
-	for i := 0; i < 4; i++ {
-		b.Track()
-	}
-	if !b.Spend() {
-		t.Fatal("budget should have refilled from tracked requests")
-	}
-}
-
 // TestFullJitterSpreadsClients is the thundering-herd regression test: 200
 // simulated clients that fail at the same instant must NOT choose the same
 // backoff (the old linear policy slept exactly 50ms*attempt for everyone).

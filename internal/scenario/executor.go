@@ -2,9 +2,9 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"synapse/internal/emulator"
@@ -31,6 +31,12 @@ type Job struct {
 	// LoadBits is math.Float64bits of the effective background load.
 	LoadBits uint64 `json:"load_bits"`
 }
+
+// ErrInvalidJob reports a job this compilation cannot resolve: its
+// workload index is out of range, or its machine has no emulation handle.
+// The job, not the executor, is at fault, so executing it again anywhere
+// fails the same way.
+var ErrInvalidJob = errors.New("scenario: invalid job")
 
 // Load returns the job's effective load as a float64.
 func (j Job) Load() float64 { return math.Float64frombits(j.LoadBits) }
@@ -154,7 +160,7 @@ func (e localExecutor) fill(ctx context.Context, jobs []Job, outs []Outcome) err
 // executeJob resolves one job into out.
 func (e localExecutor) executeJob(ctx context.Context, job Job, out *Outcome) error {
 	if job.Workload < 0 || job.Workload >= len(e.c.wls) {
-		return fmt.Errorf("scenario: job references workload %d of %d", job.Workload, len(e.c.wls))
+		return fmt.Errorf("%w: workload %d of %d", ErrInvalidJob, job.Workload, len(e.c.wls))
 	}
 	ws := e.c.wls[job.Workload]
 	run := ws.run
@@ -162,8 +168,8 @@ func (e localExecutor) executeJob(ctx context.Context, job Job, out *Outcome) er
 		run = ws.runs[job.Machine]
 	}
 	if run == nil {
-		return fmt.Errorf("scenario: workload %q has no emulation handle for machine %q",
-			ws.spec.Name, job.Machine)
+		return fmt.Errorf("%w: workload %q has no emulation handle for machine %q",
+			ErrInvalidJob, ws.spec.Name, job.Machine)
 	}
 	var rep emulator.Report
 	if err := run.EmulateWithLoad(ctx, job.Load(), &rep); err != nil {
@@ -196,10 +202,10 @@ func ResolveProfiles(ctx context.Context, spec *Spec, st store.Store) ([]*profil
 // JobRunner is the worker side of distributed execution: one spec compiled
 // against a store, holding reusable emulation handles for every machine an
 // instance could land on, ready to execute any shard's jobs. It is the
-// local executor Run uses, plus the seed and a streaming face. A runner
-// built from the same (spec, profiles) on any host produces bit-identical
-// outcomes, so a coordinator may hand the same job to any worker — or to a
-// replacement after a failure — without perturbing the merged report.
+// local executor Run uses, plus the seed. A runner built from the same
+// (spec, profiles) on any host produces bit-identical outcomes, so a
+// coordinator may hand the same job to any worker — or to a replacement
+// after a failure — without perturbing the merged report.
 type JobRunner struct {
 	localExecutor
 }
@@ -227,55 +233,3 @@ func NewJobRunner(ctx context.Context, spec *Spec, st store.Store, workers int) 
 // Seed returns the compiled spec's seed — the root every shard key derives
 // from, echoed in the worker protocol's determinism handshake.
 func (r *JobRunner) Seed() uint64 { return r.c.spec.Seed }
-
-// defaultStreamBatch is the emission granularity ExecuteJobsStream falls
-// back to when the caller passes none.
-const defaultStreamBatch = 64
-
-// ExecuteJobsStream executes jobs across the runner's fan-out and emits
-// outcomes in job order as the contiguous prefix completes, at least batch
-// at a time (0 picks a default) except for the final flush. The jobs run in
-// parallel into one flat outcome slice and complete out of order; emit
-// observes only the in-order prefix, so a consumer can fold batches as
-// they arrive. emit is never called concurrently, and the outcomes it
-// receives are never written again.
-func (r *JobRunner) ExecuteJobsStream(ctx context.Context, jobs []Job, batch int, emit func(outs []*Outcome) error) error {
-	if batch <= 0 {
-		batch = defaultStreamBatch
-	}
-	var (
-		mu   sync.Mutex
-		outs = make([]Outcome, len(jobs))
-		ptrs = make([]*Outcome, len(jobs)) // set once outs[j] is final
-		next int                           // emission watermark
-	)
-	_, err := exp.Fan(r.workers, len(jobs), nil, func(j int) (struct{}, error) {
-		if err := r.executeJob(ctx, jobs[j], &outs[j]); err != nil {
-			return struct{}{}, err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		ptrs[j] = &outs[j]
-		// Emit the contiguous prefix once it is a full batch deep. Holding
-		// mu serializes emit; the tail below flushes what remains.
-		end := next
-		for end < len(ptrs) && ptrs[end] != nil {
-			end++
-		}
-		if end-next >= batch {
-			run := ptrs[next:end]
-			next = end
-			if err := emit(run); err != nil {
-				return struct{}{}, err
-			}
-		}
-		return struct{}{}, nil
-	})
-	if err != nil {
-		return err
-	}
-	if next < len(jobs) {
-		return emit(ptrs[next:])
-	}
-	return nil
-}

@@ -104,7 +104,7 @@ func BenchmarkRemoteFindCold(b *testing.B) {
 			seed.Close()
 			rs := make([]*Remote, clients)
 			for c := range rs {
-				rs[c] = New(url, WithCacheSize(0))
+				rs[c] = New(url, withCacheSize(0))
 				defer rs[c].Close()
 			}
 			benchConcurrent(b, clients, func(c, i int) error {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"synapse/internal/retry"
 	"synapse/internal/store"
 	"synapse/internal/store/storetest"
 	"synapse/internal/storesrv"
@@ -64,8 +65,8 @@ func brokenClient(t *testing.T, threshold int, cooldown time.Duration, opts ...O
 	t.Cleanup(ts.Close)
 	clk := newFakeClock()
 	opts = append([]Option{
-		WithRetries(0),
-		WithBreaker(threshold, cooldown),
+		withRetryPolicy(retry.Policy{Attempts: 1}),
+		withBreaker(threshold, cooldown),
 		withBreakerClock(clk.Now),
 	}, opts...)
 	return New(ts.URL, opts...), srv, clk
@@ -77,7 +78,7 @@ func brokenClient(t *testing.T, threshold int, cooldown time.Duration, opts ...O
 // successful probe that closes the circuit again.
 func TestBreakerTransitions(t *testing.T) {
 	const threshold, cooldown = 3, 2 * time.Second
-	r, srv, clk := brokenClient(t, threshold, cooldown, WithStaleReads(false), WithCacheSize(0))
+	r, srv, clk := brokenClient(t, threshold, cooldown, withCacheSize(0))
 	defer r.Close()
 
 	if err := r.Put(storetest.MkProfile("k", nil, 2)); err != nil {
@@ -137,7 +138,7 @@ func TestBreakerTransitions(t *testing.T) {
 // TestBreakerEndpointsIsolated: an outage tripping the profiles endpoint
 // must not open the keys endpoint's circuit.
 func TestBreakerEndpointsIsolated(t *testing.T) {
-	r, srv, _ := brokenClient(t, 2, time.Minute, WithStaleReads(false), WithCacheSize(0))
+	r, srv, _ := brokenClient(t, 2, time.Minute, withCacheSize(0))
 	defer r.Close()
 
 	srv.failing.Store(true)
@@ -155,10 +156,9 @@ func TestBreakerEndpointsIsolated(t *testing.T) {
 	}
 }
 
-// TestBreakerOpenServesStale: with stale reads enabled (the default), an
-// open circuit serves the cached entry, flagged Stale and carrying its
-// generation ETag; uncached keys still fail. Disabling stale reads surfaces
-// ErrCircuitOpen instead.
+// TestBreakerOpenServesStale: an open circuit serves the cached entry,
+// flagged Stale and carrying its generation ETag; uncached keys still fail
+// with ErrCircuitOpen.
 func TestBreakerOpenServesStale(t *testing.T) {
 	const threshold = 2
 	r, srv, _ := brokenClient(t, threshold, time.Minute)
@@ -215,27 +215,6 @@ func TestBreakerOpenServesStale(t *testing.T) {
 	// Uncached key: nothing to degrade to.
 	if _, _, err := r.FindDetailed(context.Background(), "nevercached", nil); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("uncached key under open breaker = %v, want ErrCircuitOpen", err)
-	}
-}
-
-// TestStaleReadsDisabled: WithStaleReads(false) turns degradation off.
-func TestStaleReadsDisabled(t *testing.T) {
-	const threshold = 2
-	r, srv, _ := brokenClient(t, threshold, time.Minute, WithStaleReads(false))
-	defer r.Close()
-
-	if err := r.Put(storetest.MkProfile("c", nil, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Find("c", nil); err != nil {
-		t.Fatal(err)
-	}
-	srv.failing.Store(true)
-	for i := 0; i < threshold; i++ {
-		_, _ = r.Find("c", nil)
-	}
-	if _, err := r.Find("c", nil); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("stale reads disabled, want ErrCircuitOpen, got %v", err)
 	}
 }
 

@@ -88,7 +88,7 @@ func TestRemoteConformanceThroughFaultyServer(t *testing.T) {
 		// failures no healthy deployment would: disable the breaker here
 		// (its own transitions are covered by breaker_test.go) so the suite
 		// exercises the retry path alone.
-		return New(ts.URL, WithBreaker(0, 0))
+		return New(ts.URL, withBreaker(0, 0))
 	}
 	storetest.Run(t, storetest.Factory{
 		New: func(t *testing.T) store.Store {
@@ -187,7 +187,7 @@ func TestRemoteReadRetriesAgainstFlakyBackend(t *testing.T) {
 		FailEvery: 2,
 		Reads:     true,
 	})
-	r := newRemote(t, flaky, WithCacheSize(0)) // every Find hits the backend
+	r := newRemote(t, flaky, withCacheSize(0)) // every Find hits the backend
 	defer r.Close()
 
 	if err := r.Put(storetest.MkProfile("wobbly", nil, 2)); err != nil {

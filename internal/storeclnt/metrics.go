@@ -9,8 +9,6 @@ import (
 // shared registry and a Stats() call can never disagree.
 type clientMetrics struct {
 	retries      *telemetry.Counter
-	hedges       *telemetry.Counter
-	hedgeWins    *telemetry.Counter
 	staleReads   *telemetry.Counter
 	shed429      *telemetry.Counter
 	breakerOpens *telemetry.Counter
@@ -28,10 +26,6 @@ func newClientMetrics(r *Remote, reg *telemetry.Registry) *clientMetrics {
 	m := &clientMetrics{
 		retries: reg.Counter("synapse_client_retries_total",
 			"Request attempts beyond the first (retransmissions)."),
-		hedges: reg.Counter("synapse_client_hedges_total",
-			"Hedge requests launched for slow idempotent GETs."),
-		hedgeWins: reg.Counter("synapse_client_hedge_wins_total",
-			"Hedge requests whose response was used."),
 		staleReads: reg.Counter("synapse_client_stale_reads_total",
 			"Reads served from the local cache while the circuit was open."),
 		shed429: reg.Counter("synapse_client_shed_total",
@@ -39,16 +33,10 @@ func newClientMetrics(r *Remote, reg *telemetry.Registry) *clientMetrics {
 		breakerOpens: reg.Counter("synapse_client_breaker_opens_total",
 			"Circuit-open transitions across endpoints."),
 	}
-	// Per-instance gauges: when clients share a registry, GaugeFunc keeps
-	// the first function, so these describe the first-registered client.
+	// A per-instance gauge: when clients share a registry, GaugeFunc keeps
+	// the first function, so it describes the first-registered client.
 	reg.GaugeFunc("synapse_client_cache_entries",
 		"Keys currently held in the client read cache.",
 		func() float64 { return float64(r.CacheLen()) })
-	if r.policy.Budget != nil {
-		b := r.policy.Budget
-		reg.GaugeFunc("synapse_client_retry_budget_tokens",
-			"Tokens left in the shared retry budget.",
-			b.Tokens)
-	}
 	return m
 }

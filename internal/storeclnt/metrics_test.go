@@ -26,8 +26,8 @@ func TestStatsIsViewOverRegistry(t *testing.T) {
 	defer srv.Close()
 
 	reg := telemetry.NewRegistry()
-	r := New(srv.URL, WithMetrics(reg), WithRetries(3),
-		WithRetryPolicy(retry.Policy{Attempts: 4, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}))
+	r := New(srv.URL, WithMetrics(reg),
+		withRetryPolicy(retry.Policy{Attempts: 4, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}))
 	if _, err := r.Keys(); err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +54,8 @@ func TestBreakerOpensCounted(t *testing.T) {
 	defer srv.Close()
 
 	reg := telemetry.NewRegistry()
-	r := New(srv.URL, WithMetrics(reg), WithBreaker(2, time.Minute),
-		WithRetryPolicy(retry.Policy{Attempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}))
+	r := New(srv.URL, WithMetrics(reg), withBreaker(2, time.Minute),
+		withRetryPolicy(retry.Policy{Attempts: 3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}))
 	_, err := r.Keys()
 	if err == nil {
 		t.Fatal("expected failure")
@@ -65,18 +65,5 @@ func TestBreakerOpensCounted(t *testing.T) {
 	}
 	if got := reg.Counter("synapse_client_breaker_opens_total", "").Value(); got != 1 {
 		t.Errorf("registered counter = %d, want 1", got)
-	}
-}
-
-func TestRetryBudgetGaugeRegistered(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	b := retry.NewBudget(10, 0.1)
-	New("http://127.0.0.1:0", WithMetrics(reg), WithRetryBudget(b))
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "synapse_client_retry_budget_tokens 10") {
-		t.Errorf("budget gauge missing:\n%s", sb.String())
 	}
 }

@@ -9,16 +9,13 @@
 // layer:
 //
 //   - every request runs under an internal/retry policy — exponential
-//     backoff with full jitter, per-attempt and overall deadlines, retry
-//     budgets, and Retry-After honoring — instead of a hand-rolled loop;
+//     backoff with full jitter, per-attempt and overall deadlines, and
+//     Retry-After honoring — instead of a hand-rolled loop;
 //   - each endpoint is guarded by a circuit breaker (closed/open/half-open
 //     with single probes), so a dead daemon fails fast instead of burning a
 //     connect timeout per call;
 //   - while the breaker is open, reads degrade gracefully: cached entries
-//     are served stale, generation-stamped and flagged (FindDetailed);
-//   - idempotent GETs can be hedged (WithHedge): if the primary response is
-//     slower than the recent p95, a second request races it, the first
-//     result wins, and the loser is canceled.
+//     are served stale, generation-stamped and flagged (FindDetailed).
 package storeclnt
 
 import (
@@ -32,7 +29,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -45,25 +41,17 @@ import (
 	"synapse/internal/telemetry"
 )
 
-// Defaults, overridable through Options.
+// Client defaults.
 const (
 	DefaultCacheSize = 128
 	DefaultRetries   = 3
 	// DefaultTimeout is the overall per-call deadline applied when the
-	// caller's context has none (WithTimeout overrides; <= 0 disables).
+	// caller's context has none.
 	DefaultTimeout = 30 * time.Second
 	// DefaultBreakerThreshold consecutive failures open an endpoint's
 	// circuit; DefaultBreakerCooldown later a probe is allowed through.
 	DefaultBreakerThreshold = 5
 	DefaultBreakerCooldown  = 2 * time.Second
-	// defaultHedgeDelay is used until enough latency samples exist to
-	// compute a p95, and hedgeFloor bounds the adaptive delay below.
-	defaultHedgeDelay = 100 * time.Millisecond
-	hedgeFloor        = time.Millisecond
-	// latWindow is the per-client ring of recent GET latencies feeding the
-	// adaptive hedge delay.
-	latWindow = 64
-	latWarmup = 16
 	// gzipThreshold is the body size above which uploads are compressed.
 	gzipThreshold = 1 << 10
 )
@@ -74,49 +62,19 @@ type Option func(*Remote)
 // WithHTTPClient substitutes the HTTP client (tests, custom transports).
 func WithHTTPClient(hc *http.Client) Option { return func(r *Remote) { r.hc = hc } }
 
-// WithCacheSize bounds the read cache to n keys (0 disables caching).
-func WithCacheSize(n int) Option { return func(r *Remote) { r.cacheCap = n } }
+// withCacheSize bounds the read cache to n keys, 0 disabling it (tests).
+func withCacheSize(n int) Option { return func(r *Remote) { r.cacheCap = n } }
 
-// WithRetries bounds retransmissions of idempotent requests (0 disables).
-func WithRetries(n int) Option {
-	return func(r *Remote) { r.policy.Attempts = n + 1 }
-}
+// withRetryPolicy replaces the whole retry policy (tests); Attempts: 1
+// disables retries. The client still installs its own error classifier.
+func withRetryPolicy(p retry.Policy) Option { return func(r *Remote) { r.policy = p } }
 
-// WithRetryPolicy replaces the whole retry policy (backoff shape, deadlines,
-// classifier-independent knobs). The client still installs its own error
-// classifier.
-func WithRetryPolicy(p retry.Policy) Option { return func(r *Remote) { r.policy = p } }
-
-// WithRetryBudget shares a token-bucket retry budget across this client's
-// calls (and, if the same *Budget is passed to several clients, across a
-// fleet): when the bucket empties, retries stop instead of piling on.
-func WithRetryBudget(b *retry.Budget) Option { return func(r *Remote) { r.policy.Budget = b } }
-
-// WithTimeout sets the overall per-call deadline used when the caller's
-// context has none. d <= 0 disables the default deadline entirely.
-func WithTimeout(d time.Duration) Option { return func(r *Remote) { r.timeout = d } }
-
-// WithBreaker tunes the per-endpoint circuit breaker: threshold consecutive
-// failures open it, and a probe is admitted after cooldown. threshold <= 0
-// disables the breaker.
-func WithBreaker(threshold int, cooldown time.Duration) Option {
+// withBreaker tunes the per-endpoint circuit breaker (tests): threshold
+// consecutive failures open it, and a probe is admitted after cooldown.
+// threshold <= 0 disables the breaker.
+func withBreaker(threshold int, cooldown time.Duration) Option {
 	return func(r *Remote) { r.brkThreshold, r.brkCooldown = threshold, cooldown }
 }
-
-// WithHedge enables hedged idempotent GETs: when the primary request is
-// slower than the recent 95th-percentile latency, a second identical
-// request races it and the first response wins. Off by default because a
-// hedge duplicates read traffic.
-func WithHedge(enabled bool) Option { return func(r *Remote) { r.hedgeEnabled = enabled } }
-
-// WithHedgeDelay fixes the hedge trigger delay instead of adapting it to
-// the observed p95 (useful for tests and known-latency links).
-func WithHedgeDelay(d time.Duration) Option { return func(r *Remote) { r.hedgeFixed = d } }
-
-// WithStaleReads controls breaker-open degradation: when enabled (default),
-// an open circuit serves cached entries stale (flagged via FindDetailed)
-// instead of failing reads.
-func WithStaleReads(enabled bool) Option { return func(r *Remote) { r.staleReads = enabled } }
 
 // withBreakerClock injects the breaker's clock (tests).
 func withBreakerClock(now func() time.Time) Option {
@@ -126,8 +84,6 @@ func withBreakerClock(now func() time.Time) Option {
 // Stats are cumulative per-client resilience counters.
 type Stats struct {
 	Retries      int64 // attempts beyond the first
-	Hedges       int64 // hedge requests launched
-	HedgeWins    int64 // hedges whose response was used
 	StaleServes  int64 // reads served from cache while the breaker was open
 	Shed429      int64 // responses shed by the server with 429
 	BreakerOpens int64 // circuit-open transitions across endpoints
@@ -139,23 +95,13 @@ type Remote struct {
 	base     string
 	hc       *http.Client
 	policy   retry.Policy
-	timeout  time.Duration
 	cacheCap int
-
-	staleReads bool
 
 	brkThreshold int
 	brkCooldown  time.Duration
 	brkClock     func() time.Time
 	brkMu        sync.Mutex
 	breakers     map[string]*breaker
-
-	hedgeEnabled bool
-	hedgeFixed   time.Duration
-	latMu        sync.Mutex
-	lat          [latWindow]time.Duration
-	latIdx       int
-	latN         int
 
 	// met holds the resilience counters; Stats() reads them. metricsReg is
 	// the registry they register into (WithMetrics; nil gets a private one).
@@ -203,9 +149,7 @@ func New(base string, opts ...Option) *Remote {
 		base:         strings.TrimRight(base, "/"),
 		hc:           &http.Client{},
 		policy:       pol,
-		timeout:      DefaultTimeout,
 		cacheCap:     DefaultCacheSize,
-		staleReads:   true,
 		brkThreshold: DefaultBreakerThreshold,
 		brkCooldown:  DefaultBreakerCooldown,
 		breakers:     map[string]*breaker{},
@@ -241,8 +185,6 @@ func Open(dirOrURL string) (store.Store, error) {
 func (r *Remote) Stats() Stats {
 	return Stats{
 		Retries:      r.met.retries.Value(),
-		Hedges:       r.met.hedges.Value(),
-		HedgeWins:    r.met.hedgeWins.Value(),
 		StaleServes:  r.met.staleReads.Value(),
 		Shed429:      r.met.shed429.Value(),
 		BreakerOpens: r.met.breakerOpens.Value(),
@@ -287,7 +229,7 @@ func classify(err error) retry.Class {
 	return retry.Transient
 }
 
-// call is one wire request, rebuildable per attempt (and per hedge).
+// call is one wire request, rebuildable per attempt.
 type call struct {
 	method     string
 	url        string
@@ -295,7 +237,6 @@ type call struct {
 	body       []byte
 	header     map[string]string
 	idempotent bool
-	hedgeable  bool
 }
 
 // newCall builds a call for pathAndQuery (e.g. "/v1/profiles?key=k").
@@ -312,7 +253,6 @@ func (r *Remote) newCall(method, pathAndQuery string, body []byte) *call {
 		body:       body,
 		header:     map[string]string{},
 		idempotent: idem,
-		hedgeable:  method == http.MethodGet,
 	}
 }
 
@@ -337,7 +277,6 @@ func (r *Remote) roundTrip(ctx context.Context, c *call) (*response, error) {
 	for k, v := range c.header {
 		req.Header.Set(k, v)
 	}
-	start := time.Now()
 	resp, err := r.hc.Do(req)
 	if err != nil {
 		return nil, err
@@ -347,107 +286,17 @@ func (r *Remote) roundTrip(ctx context.Context, c *call) (*response, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storeclnt: read response body: %w", err)
 	}
-	if c.hedgeable && resp.StatusCode < 500 {
-		r.recordLatency(time.Since(start))
-	}
 	return &response{status: resp.StatusCode, header: resp.Header, body: data}, nil
 }
 
-// recordLatency feeds the adaptive hedge delay.
-func (r *Remote) recordLatency(d time.Duration) {
-	r.latMu.Lock()
-	r.lat[r.latIdx] = d
-	r.latIdx = (r.latIdx + 1) % latWindow
-	if r.latN < latWindow {
-		r.latN++
-	}
-	r.latMu.Unlock()
-}
-
-// hedgeDelay returns how long the primary GET may run before a hedge
-// launches: the fixed override, or the p95 of recent request latencies.
-func (r *Remote) hedgeDelay() time.Duration {
-	if r.hedgeFixed > 0 {
-		return r.hedgeFixed
-	}
-	r.latMu.Lock()
-	n := r.latN
-	var buf [latWindow]time.Duration
-	copy(buf[:], r.lat[:n])
-	r.latMu.Unlock()
-	if n < latWarmup {
-		return defaultHedgeDelay
-	}
-	s := buf[:n]
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	p95 := s[n*95/100]
-	if p95 < hedgeFloor {
-		p95 = hedgeFloor
-	}
-	return p95
-}
-
-// attempt performs one policy attempt, racing a hedge for slow hedgeable
-// GETs. Exactly one response is returned; the loser's request context is
-// canceled.
-func (r *Remote) attempt(ctx context.Context, c *call) (*response, error) {
-	if !r.hedgeEnabled || !c.hedgeable {
-		return r.roundTrip(ctx, c)
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel() // cancels the losing hedge
-	type outcome struct {
-		rs  *response
-		err error
-		i   int
-	}
-	ch := make(chan outcome, 2)
-	run := func(i int) {
-		rs, err := r.roundTrip(hctx, c)
-		ch <- outcome{rs, err, i}
-	}
-	go run(0)
-	launched, done := 1, 0
-	timer := time.NewTimer(r.hedgeDelay())
-	defer timer.Stop()
-	var firstErr error
-	for {
-		select {
-		case o := <-ch:
-			done++
-			if o.err == nil {
-				if o.i == 1 {
-					r.met.hedgeWins.Inc()
-				}
-				return o.rs, nil
-			}
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			if done == launched {
-				return nil, firstErr
-			}
-		case <-timer.C:
-			if launched < 2 {
-				r.met.hedges.Inc()
-				launched++
-				go run(1)
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
 // do issues c under the full resilience stack: overall deadline, circuit
-// breaker, retry policy with jittered backoff, Retry-After honoring, and
-// (for hedgeable calls) hedging. On success the returned response has a
-// status the caller still interprets (200/204/304/4xx); 429 and 5xx are
-// consumed by the retry loop.
+// breaker, retry policy with jittered backoff, and Retry-After honoring.
+// On success the returned response has a status the caller still
+// interprets (200/204/304/4xx); 429 and 5xx are consumed by the retry loop.
 func (r *Remote) do(ctx context.Context, c *call) (*response, error) {
-	if _, has := ctx.Deadline(); !has && r.timeout > 0 {
+	if _, has := ctx.Deadline(); !has {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.timeout)
+		ctx, cancel = context.WithTimeout(ctx, DefaultTimeout)
 		defer cancel()
 	}
 	pol := r.policy
@@ -462,7 +311,7 @@ func (r *Remote) do(ctx context.Context, c *call) (*response, error) {
 		if _, ok := br.allow(); !ok {
 			return circuitErr(c.endpoint)
 		}
-		rs, err := r.attempt(actx, c)
+		rs, err := r.roundTrip(actx, c)
 		if err != nil {
 			if classify(err) == retry.Terminal {
 				return err
@@ -675,7 +524,7 @@ func (r *Remote) fetch(ctx context.Context, key string) (profile.Set, Freshness,
 	}
 	resp, err := r.do(ctx, c)
 	if err != nil {
-		if r.staleReads && cached != nil && errors.Is(err, ErrCircuitOpen) {
+		if cached != nil && errors.Is(err, ErrCircuitOpen) {
 			r.met.staleReads.Inc()
 			return cached, Freshness{Stale: true, ETag: etag}, nil
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"synapse/internal/profile"
+	"synapse/internal/retry"
 	"synapse/internal/store"
 	"synapse/internal/store/storetest"
 	"synapse/internal/storesrv"
@@ -262,7 +263,7 @@ func TestBoundedRetries(t *testing.T) {
 	ts := httptest.NewServer(f)
 	defer ts.Close()
 
-	r := New(ts.URL, WithRetries(3))
+	r := New(ts.URL) // DefaultRetries = 3
 	defer r.Close()
 	if _, err := r.Find("flaky", nil); err != nil {
 		t.Fatalf("find should survive 2 transient failures with 3 retries: %v", err)
@@ -270,7 +271,7 @@ func TestBoundedRetries(t *testing.T) {
 
 	// With retries disabled the same fault is fatal.
 	atomic.StoreInt32(&f.fails, 2)
-	r2 := New(ts.URL, WithRetries(0), WithCacheSize(0))
+	r2 := New(ts.URL, withRetryPolicy(retry.Policy{Attempts: 1}), withCacheSize(0))
 	defer r2.Close()
 	if _, err := r2.Find("flaky", nil); err == nil {
 		t.Fatal("find with retries disabled should fail")
@@ -278,7 +279,7 @@ func TestBoundedRetries(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	r := newRemote(t, store.NewSharded(4), WithCacheSize(2))
+	r := newRemote(t, store.NewSharded(4), withCacheSize(2))
 	defer r.Close()
 	for _, cmd := range []string{"a", "b", "c"} {
 		if err := r.Put(storetest.MkProfile(cmd, nil, 1)); err != nil {

@@ -68,10 +68,10 @@ func chaosRemote(t *testing.T, backend store.Store, saw func(*chaos.Proxy)) stor
 	pol.MaxDelay = 20 * time.Millisecond
 	return New("http://"+p.Addr(),
 		WithHTTPClient(&http.Client{Transport: &http.Transport{DisableKeepAlives: true}}),
-		WithRetryPolicy(pol),
+		withRetryPolicy(pol),
 		// The scripted fault density far exceeds what a breaker should
 		// ride through; its transitions are covered by breaker_test.go.
-		WithBreaker(0, 0),
+		withBreaker(0, 0),
 	)
 }
 
@@ -175,9 +175,9 @@ func TestOverloadShedsAndClientHonorsRetryAfter(t *testing.T) {
 	remotes := make([]*Remote, clients)
 	for i := range remotes {
 		remotes[i] = New("http://"+addr.String(),
-			WithRetryPolicy(pol),
-			WithCacheSize(0), // every Find must hit the wire
-			WithBreaker(0, 0),
+			withRetryPolicy(pol),
+			withCacheSize(0), // every Find must hit the wire
+			withBreaker(0, 0),
 		)
 	}
 

@@ -7,7 +7,7 @@
 // Perfetto-loadable trace.
 //
 // Every subsystem that already had signals — the storesrv admission queue,
-// storeclnt's retry/breaker/hedge counters, the scenario scheduler —
+// storeclnt's retry/breaker counters, the scenario scheduler —
 // registers its instruments here, so one /v1/metrics scrape (or one trace
 // file) sees the whole system. The paper's thesis is that applications
 // should be observable and predictable; this package is where the repro
